@@ -24,6 +24,15 @@ REGRESS_TIMEOUT="${REGRESS_TIMEOUT:-60}"
 echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout "${TIER1_TIMEOUT}" python -m pytest -x -q
 
+echo "== small-host stage: tests/hw in a 2 GiB address space (timeout 300s) =="
+# Simulated memory limits must reject oversize tensors before the host
+# allocates them.  A capped address space turns any "allocate, then
+# check" regression into a failure on every host, not only small ones.
+(
+    ulimit -v 2097152
+    timeout 300 python -m pytest -x -q tests/hw
+)
+
 echo "== seeded fault-sweep smoke test (timeout ${FAULTS_TIMEOUT}s) =="
 timeout "${FAULTS_TIMEOUT}" python -m pytest -x -q -m faults tests/faults
 

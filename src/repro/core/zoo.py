@@ -8,6 +8,12 @@ backward-filter per conv layer, three GEMMs per FC layer) on one simulated
 SW26010 — the "what would training this network actually cost" number the
 paper's per-kernel evaluation stops short of.
 
+:func:`training_cost` is the one per-layer training-cost function of the
+package: :func:`time_network` sums it here, and the data-parallel cluster
+(:func:`repro.scale.cluster.profile_network`,
+:func:`repro.scale.report.stack_costs`) schedules it on its allreduce
+timeline.
+
 Only stride-1 convolutions are representable (the paper's kernels);
 AlexNet's strided first layer is therefore approximated by its stride-1
 retrained variant's geometry, noted per network.
@@ -16,7 +22,8 @@ retrained variant's geometry, noted per network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import PlanError
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -35,13 +42,26 @@ class ZooLayer:
     fc: Optional[GemmParams] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in ("conv", "fc"):
+            raise PlanError(f"layer {self.name}: unknown layer kind {self.kind!r}")
         if self.kind == "conv" and self.conv is None:
             raise PlanError(f"layer {self.name}: conv layer needs ConvParams")
         if self.kind == "fc" and self.fc is None:
             raise PlanError(f"layer {self.name}: fc layer needs GemmParams")
 
+    @property
+    def params(self) -> Union[ConvParams, GemmParams]:
+        """The shape :func:`training_cost` times: ``conv`` or ``fc``."""
+        return self.conv if self.kind == "conv" else self.fc
+
     def flops(self) -> int:
-        return self.conv.flops() if self.kind == "conv" else self.fc.flops()
+        return self.params.flops()
+
+    def gradient_bytes(self) -> int:
+        """Bytes of weight gradient this layer allreduces (float64, no bias)."""
+        if self.kind == "conv":
+            return self.conv.filter_bytes(8)
+        return self.fc.m * self.fc.k * 8
 
 
 def _conv(name: str, ni: int, no: int, out: int, b: int) -> ZooLayer:
@@ -87,6 +107,46 @@ def cifar_quick(batch: int = 128) -> List[ZooLayer]:
 
 
 NETWORKS: Dict[str, callable] = {"vgg16": vgg16, "cifar_quick": cifar_quick}
+
+
+def vgg_like_stack(batch: int = 128, channels: int = 64) -> List[ZooLayer]:
+    """A small VGG-ish stack for the cluster scaling curves.
+
+    Not in :data:`NETWORKS`: it is the workload of
+    :mod:`repro.scale.report`, not a paper-era network.
+    """
+    return [
+        _conv("conv1", channels, channels, 32, batch),
+        _conv("conv2", channels, 2 * channels, 16, batch),
+        _conv("conv3", 2 * channels, 4 * channels, 8, batch),
+        ZooLayer(
+            "fc1", "fc", fc=GemmParams(m=1024, n=batch, k=4 * channels * 8 * 8)
+        ),
+        ZooLayer("fc2", "fc", fc=GemmParams(m=1000, n=batch, k=1024)),
+    ]
+
+
+@lru_cache(maxsize=512)
+def training_cost(
+    params: Union[ConvParams, GemmParams], spec: SW26010Spec = DEFAULT_SPEC
+) -> Tuple[float, float]:
+    """(forward, backward) seconds of one layer's training step on one chip.
+
+    Conv layers run forward + backward-data + backward-filter through
+    :class:`BackwardConvolution`; dense layers are three mesh GEMMs of one
+    shape class.  Per-CG times divide by the core-group count (4 CGs
+    assumed linear per Section III-D).  Raises :class:`PlanError` for
+    shapes the planner refuses.
+    """
+    if isinstance(params, ConvParams):
+        total, breakdown = BackwardConvolution(params, spec=spec).training_step_time()
+        fwd = breakdown["forward"].seconds
+        back = total - fwd
+    else:
+        fwd = GemmEngine(GemmPlan(params, spec=spec)).evaluate().seconds
+        back = 2.0 * fwd  # backward-data + backward-weight GEMMs
+    cg_count = spec.num_core_groups
+    return fwd / cg_count, back / cg_count
 
 
 @dataclass
@@ -148,25 +208,10 @@ def time_network(
     actual_batch = (
         layers[0].conv.b if layers[0].kind == "conv" else layers[0].fc.n
     )
-    cg_count = spec.num_core_groups
-    timings: List[LayerTiming] = []
-    for layer in layers:
-        if layer.kind == "conv":
-            bw = BackwardConvolution(layer.conv, spec=spec)
-            total, breakdown = bw.training_step_time()
-            fwd = breakdown["forward"].seconds
-            back = total - fwd
-        else:
-            plan = GemmPlan(layer.fc, spec=spec)
-            fwd = GemmEngine(plan).evaluate().seconds
-            back = 2 * fwd  # backward-data + backward-weight GEMMs
-        timings.append(
-            LayerTiming(
-                name=layer.name,
-                kind=layer.kind,
-                flops=layer.flops(),
-                forward_seconds=fwd / cg_count,
-                backward_seconds=back / cg_count,
-            )
+    timings = [
+        LayerTiming(
+            layer.name, layer.kind, layer.flops(), *training_cost(layer.params, spec)
         )
+        for layer in layers
+    ]
     return NetworkTiming(network=name, batch=actual_batch, layers=timings)

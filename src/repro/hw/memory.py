@@ -15,6 +15,7 @@ bandwidths and arithmetic intensity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -72,20 +73,29 @@ class MainMemory:
         Returns the stored array (stored by reference; the simulator treats
         the NumPy buffer as the memory contents).
         """
-        if name in self._tensors:
-            raise SimulationError(f"tensor {name!r} already registered")
-        if array.nbytes > self.bytes_free:
-            raise SimulationError(
-                f"tensor {name!r} needs {array.nbytes} bytes but only "
-                f"{self.bytes_free} bytes of main memory are free"
-            )
+        self._admit(name, array.nbytes)
         self._tensors[name] = array
         self._bytes_used += array.nbytes
         return array
 
     def allocate(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Allocate a zeroed tensor in main memory."""
+        """Allocate a zeroed tensor in main memory.
+
+        The simulated capacity is checked from ``shape`` and ``dtype``
+        before any host memory is allocated.
+        """
+        dims = (shape,) if np.ndim(shape) == 0 else shape
+        self._admit(name, math.prod(int(d) for d in dims) * np.dtype(dtype).itemsize)
         return self.register(name, np.zeros(shape, dtype=dtype))
+
+    def _admit(self, name: str, nbytes: int) -> None:
+        if name in self._tensors:
+            raise SimulationError(f"tensor {name!r} already registered")
+        if nbytes > self.bytes_free:
+            raise SimulationError(
+                f"tensor {name!r} needs {nbytes} bytes but only "
+                f"{self.bytes_free} bytes of main memory are free"
+            )
 
     def free(self, name: str) -> None:
         """Remove a tensor from main memory."""

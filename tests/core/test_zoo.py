@@ -8,9 +8,12 @@ from repro.core.zoo import (
     ZooLayer,
     cifar_quick,
     time_network,
+    training_cost,
     vgg16,
+    vgg_like_stack,
 )
 from repro.core.gemm_plan import GemmParams
+from repro.core.params import ConvParams
 
 
 class TestDefinitions:
@@ -52,10 +55,30 @@ class TestDefinitions:
             ZooLayer(name="x", kind="conv")
         with pytest.raises(PlanError):
             ZooLayer(name="x", kind="fc")
+        with pytest.raises(PlanError, match="unknown layer kind"):
+            ZooLayer(name="x", kind="pooling")
+        with pytest.raises(ValueError):
+            ZooLayer(name="x", kind="fc", fc=GemmParams(m=10, n=4, k=0))
 
     def test_layer_flops(self):
         layer = ZooLayer(name="fc", kind="fc", fc=GemmParams(4, 5, 6))
         assert layer.flops() == 2 * 4 * 5 * 6
+
+    def test_conv_gradient_bytes(self):
+        p = ConvParams.from_output(ni=8, no=16, ro=8, co=8, kr=3, kc=3, b=4)
+        assert ZooLayer("c", "conv", conv=p).gradient_bytes() == 16 * 8 * 3 * 3 * 8
+
+    def test_fc_gradient_bytes(self):
+        layer = ZooLayer("f", "fc", fc=GemmParams(m=10, n=32, k=100))
+        assert layer.gradient_bytes() == 100 * 10 * 8
+
+    def test_vgg_like_stack(self):
+        layers = vgg_like_stack(batch=16, channels=32)
+        assert [l.kind for l in layers] == ["conv"] * 3 + ["fc"] * 2
+        assert all(l.params.b == 16 for l in layers if l.kind == "conv")
+        assert all(l.params.n == 16 for l in layers if l.kind == "fc")
+        assert layers[3].fc.k == 4 * 32 * 8 * 8
+        assert "vgg_like_stack" not in NETWORKS
 
 
 class TestTiming:
@@ -90,3 +113,13 @@ class TestTiming:
     def test_batch_override(self):
         t = time_network("cifar_quick", batch=32)
         assert t.batch == 32
+
+    def test_layers_timed_by_training_cost(self, cifar_timing):
+        for layer, timing in zip(cifar_quick(batch=64), cifar_timing.layers):
+            assert (timing.forward_seconds, timing.backward_seconds) == (
+                training_cost(layer.params)
+            )
+
+    def test_dense_backward_is_two_forward_gemms(self):
+        fwd, bwd = training_cost(GemmParams(m=64, n=32, k=128))
+        assert bwd == 2 * fwd > 0

@@ -29,8 +29,21 @@ class TestMainMemory:
     def test_capacity_enforced(self):
         mem = MainMemory()
         too_big = DEFAULT_SPEC.memory_bytes // 8 + 1
+        # A zero-copy view reports the full logical nbytes without
+        # spending host memory on it.
+        huge = np.broadcast_to(np.zeros(1), (too_big,))
+        assert huge.nbytes == too_big * 8
         with pytest.raises(SimulationError):
-            mem.register("huge", np.empty(too_big))
+            mem.register("huge", huge)
+
+    def test_oversize_allocate_rejected_before_host_allocation(self):
+        mem = MainMemory()
+        rows = DEFAULT_SPEC.memory_bytes // (8 * 1024) + 1
+        with pytest.raises(SimulationError, match="bytes of main memory"):
+            mem.allocate("huge", (rows, 1024))
+        with pytest.raises(SimulationError):
+            mem.allocate("huge", rows * 1024)
+        assert mem.bytes_used == 0 and "huge" not in mem
 
     def test_free_releases_bytes(self):
         mem = MainMemory()

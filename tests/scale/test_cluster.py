@@ -180,6 +180,8 @@ class TestStepTimeline:
         tl = simulate_step_timeline(costs, 1, net, "ring", buckets)
         assert tl.comm_seconds == 0.0
         assert tl.step_seconds == pytest.approx(tl.compute_seconds)
+        with pytest.raises(PlanError, match="at least one node"):
+            simulate_step_timeline(costs, 0, net, "ring", buckets)
 
     def test_overlap_never_slower_than_serialized(self):
         costs, buckets, net = self._setup()
@@ -222,6 +224,11 @@ class TestStepTimeline:
             costs, 4, net, "ring", buckets, link_factor=0.5
         )
         assert slow.comm_seconds > healthy.comm_seconds
+        # A slower interconnect model hurts the same way.
+        slower = simulate_step_timeline(
+            costs, 4, InterconnectModel(bandwidth=net.bandwidth / 4), "ring", buckets
+        )
+        assert slower.step_seconds > healthy.step_seconds
 
 
 class TestClusterTrainer:
