@@ -128,8 +128,10 @@ class ConvPlan(abc.ABC):
         one aggregate transfer per tensor (identical bytes, identical block
         sizes, so identical DMA time) and omits the per-update
         :class:`ComputeSpec` list — the fast path the timed evaluation and
-        the traffic aggregation use.  The functional engine always walks
-        the full schedule.
+        the traffic aggregation use.  The functional engine reads the full
+        schedule: the mesh backends walk it tile by tile, and the numpy
+        backend compiles it once into a strip program (see
+        :class:`repro.core.conv.StripProgram`).
         """
 
     def compiled_schedule(self, coalesced: bool = False) -> Tuple[TileStep, ...]:

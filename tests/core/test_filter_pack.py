@@ -2,7 +2,8 @@
 
 The engine packs each ``(kr, kc, ni-block)`` filter slice into a
 contiguous operand once per ``(weights, version)`` pair and multiplies the
-pack directly on the numpy backend.  These tests pin the three properties
+pack directly on the numpy backend (the unpacked path slices the same
+contiguous operands per call).  These tests pin the three properties
 serving depends on: packed output is bit-identical to the unpacked path,
 repeated inference packs exactly once, and an in-place parameter update
 (the training loop) invalidates the pack rather than serving stale
@@ -11,12 +12,15 @@ weights.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.conv import ConvolutionEngine
+from repro.core.ldm_blocking import BatchBlocking, ImageBlocking
 from repro.core.layers import Conv2D, ReLU
 from repro.core.network import SGD, Sequential
 from repro.core.params import ConvParams
 from repro.core.planner import plan_convolution
+from repro.core.plans import BatchSizeAwarePlan, ImageSizeAwarePlan
 from repro.core.reference import conv2d_reference
 from repro.telemetry import Telemetry
 
@@ -37,10 +41,36 @@ def _data(seed=0):
 
 
 class TestPackedParity:
-    def test_packed_run_is_bit_identical_to_unpacked(self):
-        x, w = _data()
-        unpacked, _ = _engine().run(x, w)
-        packed, _ = _engine().run(x, w, filter_version=0)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(("image", "batch")),
+        ni=st.integers(1, 24),
+        no=st.integers(1, 12),
+        size=st.integers(1, 7),
+        k=st.sampled_from((1, 3, 5)),
+        b=st.integers(1, 6),
+        b_ni=st.none() | st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+    )
+    def test_packed_run_is_bit_identical_to_unpacked(
+        self, family, ni, no, size, k, b, b_ni, seed
+    ):
+        params = ConvParams.from_output(
+            ni=ni, no=no, ro=size, co=size, kr=k, kc=k, b=b
+        )
+        if family == "image":
+            plan = ImageSizeAwarePlan(
+                params, blocking=ImageBlocking(b_b=b, b_co=size, b_ni=b_ni)
+            )
+        else:
+            plan = BatchSizeAwarePlan(
+                params, blocking=BatchBlocking(b_co=size, b_ni=b_ni)
+            )
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(params.input_shape)
+        w = rng.standard_normal(params.filter_shape)
+        unpacked, _ = ConvolutionEngine(plan).run(x, w)
+        packed, _ = ConvolutionEngine(plan).run(x, w, filter_version=0)
         np.testing.assert_array_equal(packed, unpacked)
 
     def test_packed_run_matches_reference(self):
