@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Benchmark-correctness smoke: run the serve and train workloads of
+# Benchmark-correctness smoke: run the sweep, serve and train workloads of
 # perfbench/run.py briefly and fail unless each reports "correct": true
 # with no failed operations.  This checks the benchmark's own answers
-# (serve outputs bit-identical to the sequential run, balanced counters,
-# train replicas in lockstep and a bitwise 1-node replay); it measures
-# nothing.
+# (sweep timings repeat exactly after a cleared timing memo and its
+# Table III rows match the table3 experiment, serve outputs bit-identical
+# to the sequential run, balanced counters, train replicas in lockstep and
+# a bitwise 1-node replay); it measures nothing.
 #
 # Usage: sh scripts/bench_smoke.sh   (each workload run is capped at 120 s)
 set -eu
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 OUT="$(mktemp /tmp/repro-bench-smoke-XXXXXX.txt)"
 trap 'rm -f "${OUT}"' EXIT
 
-for workload in serve train; do
+for workload in sweep serve train; do
     echo "-- perfbench ${workload} (timeout 120s)"
     timeout 120 python3 perfbench/run.py \
         --workload "${workload}" --seed 1 --seconds 3 --trace 0 > "${OUT}"

@@ -112,8 +112,8 @@ echo "== bench regression gate (timeout ${REGRESS_TIMEOUT}s) =="
 timeout "${REGRESS_TIMEOUT}" python -m repro.telemetry.regress benchmarks
 
 echo "== benchmark-correctness smoke (timeout 120s per workload) =="
-# Short serve and train runs of the benchmark; fails when either reports
-# "correct": false or any failed operation (see scripts/bench_smoke.sh).
+# Short sweep, serve and train runs of the benchmark; fails when any
+# reports "correct": false or a failed operation (see scripts/bench_smoke.sh).
 sh scripts/bench_smoke.sh
 
 echo "verify: OK"

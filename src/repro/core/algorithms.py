@@ -20,8 +20,10 @@ search, each timed by the same walk that executes it:
 
 Both families reuse the direct path's machinery end to end: the Table II
 DMA model prices every transfer, :func:`~repro.core.conv._pipeline_timeline`
-schedules double-buffered tiles, and the engines feed the same telemetry
-counters (``engine.bytes_get`` ...), so the communication oracle
+schedules double-buffered tile-chunk runs, the process-wide timing memo
+(:func:`~repro.core.conv.clear_timing_cache` clears it) holds their walks,
+and the engines feed the same telemetry counters (``engine.bytes_get``
+...), so the communication oracle
 (:mod:`repro.telemetry.oracle`) can compare all three algorithms on equal
 footing.
 
@@ -36,7 +38,7 @@ blocking sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,14 +48,16 @@ from repro.core.conv import (
     OVERLAP_CONTENTION,
     ConvolutionEngine,
     TimingReport,
-    _pipeline_timeline,
     _StepCost,
+    count_evaluation,
+    memoized_timing,
 )
 from repro.core.gemm_plan import (
     GemmEngine,
     GemmParams,
     GemmPlan,
     choose_gemm_blocking,
+    gemm_runs_report,
     rbw_gemm,
 )
 from repro.core.ldm_blocking import assert_fits_in_ldm
@@ -444,16 +448,6 @@ class WinogradPlan(LoweredConvPlan):
         ]
 
 
-#: Memoized timed walks of lowered schedules, mirroring the direct path's
-#: ``repro.core.conv._TIMING_CACHE``.
-_LOWERED_TIMING_CACHE: Dict[Tuple, TimingReport] = {}
-_LOWERED_TIMING_CACHE_MAX = 4096
-
-
-def clear_lowered_timing_cache() -> None:
-    _LOWERED_TIMING_CACHE.clear()
-
-
 class LoweredConvEngine:
     """Functional + timed execution of a lowered plan, engine-compatible.
 
@@ -544,15 +538,15 @@ class LoweredConvEngine:
         "how fast is this layer", not "how busy is the mesh" — the same
         convention the baselines and Table III use.
         """
-        key = self._timing_key()
-        cached = _LOWERED_TIMING_CACHE.get(key)
-        if cached is not None:
-            self._count_evaluation(cached, cache_hit=True)
-            return replace(cached)
+        report, cache_hit = memoized_timing(self._timing_key(), self._walk)
+        count_evaluation(self.telemetry, report, cache_hit)
+        return replace(report)
+
+    def _walk(self) -> TimingReport:
         staging = self._staging_cost()
         staging_seconds = staging.get_seconds + staging.put_seconds
         gemm = self._gemm_report()
-        report = TimingReport(
+        return TimingReport(
             seconds=staging_seconds + gemm.seconds,
             flops=self.plan.params.flops(),
             dma_seconds=staging_seconds + gemm.dma_seconds,
@@ -562,25 +556,6 @@ class LoweredConvEngine:
             tiles=gemm.tiles + 1,
             peak_flops=self.spec.peak_flops_per_cg,
         )
-        if len(_LOWERED_TIMING_CACHE) >= _LOWERED_TIMING_CACHE_MAX:
-            _LOWERED_TIMING_CACHE.clear()
-        _LOWERED_TIMING_CACHE[key] = report
-        self._count_evaluation(report, cache_hit=False)
-        return replace(report)
-
-    def _count_evaluation(self, report: TimingReport, cache_hit: bool) -> None:
-        counters = self.telemetry.counters
-        if not counters.enabled:
-            return
-        counters.add("engine.evaluations")
-        counters.add(
-            "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
-        )
-        counters.add("engine.bytes_get", report.bytes_get)
-        counters.add("engine.bytes_put", report.bytes_put)
-        counters.add("engine.flops", report.flops)
-        counters.add("engine.tiles", report.tiles)
-        counters.add("engine.simulated_seconds", report.seconds)
 
     # -- functional -----------------------------------------------------------
 
@@ -761,28 +736,11 @@ class WinogradEngine(LoweredConvEngine):
         )
 
     def _gemm_report(self) -> TimingReport:
-        gplan = self.plan.gemm_plan()
-        chunks = list(gplan.k_chunks())
-        cost_memo: Dict[Tuple, _StepCost] = {}
-        costs = []
-        for _, m_len, _, n_len in gplan.tiles():
-            for i, (_, k_len) in enumerate(chunks):
-                key = (m_len, n_len, k_len, i == len(chunks) - 1)
-                cost = cost_memo.get(key)
-                if cost is None:
-                    cost = self._pointwise_cost(*key)
-                    cost_memo[key] = cost
-                costs.append(cost)
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
-        return TimingReport(
-            seconds=total,
-            flops=sum(c.flops for c in costs),
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=sum(c.bytes_get for c in costs),
-            bytes_put=sum(c.bytes_put for c in costs),
-            tiles=len(costs),
-            peak_flops=self.spec.peak_flops_per_cg,
+        return gemm_runs_report(
+            self.plan.gemm_plan(),
+            self._pointwise_cost,
+            self.overlap_contention,
+            self.spec.peak_flops_per_cg,
         )
 
     def _compute(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ The timed path never touches tensor data, so parameter sweeps over the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,9 +98,10 @@ class _StepCost:
 #: (see :class:`StripProgram`).
 BACKENDS = ("numpy", "mesh", "mesh-fast")
 
-#: Memoized timed plan walks: plan signature + timing knobs -> TimingReport.
-#: Repeated layers (training), repeated strips (chip evaluation) and sweep
-#: re-runs hit this instead of re-walking their schedules.
+#: Memoized timed plan walks of every algorithm family: plan signature +
+#: timing knobs -> TimingReport.  Repeated layers (training), repeated
+#: strips (chip evaluation) and sweep re-runs hit this instead of
+#: re-walking their schedules.
 _TIMING_CACHE: Dict[Tuple, TimingReport] = {}
 
 #: Safety valve so pathological sweeps cannot grow the cache unboundedly.
@@ -108,8 +109,45 @@ _TIMING_CACHE_MAX = 4096
 
 
 def clear_timing_cache() -> None:
-    """Drop every memoized :meth:`ConvolutionEngine.evaluate` result."""
+    """Drop every memoized timed walk (direct and lowered engines alike)."""
     _TIMING_CACHE.clear()
+
+
+def memoized_timing(key: Tuple, walk) -> Tuple[TimingReport, bool]:
+    """The cached report for ``key``, or ``walk()``'s, now cached.
+
+    Returns the cached report itself (callers hand out ``replace`` copies
+    so the memo cannot be mutated) and whether it was a hit.
+    """
+    cached = _TIMING_CACHE.get(key)
+    if cached is not None:
+        return cached, True
+    report = walk()
+    if len(_TIMING_CACHE) >= _TIMING_CACHE_MAX:
+        _TIMING_CACHE.clear()
+    _TIMING_CACHE[key] = report
+    return report, False
+
+
+def count_evaluation(telemetry, report: TimingReport, cache_hit: bool) -> None:
+    """Counter accounting for one timed walk (cached or fresh).
+
+    Counting from the report keeps memoized and fresh evaluations
+    indistinguishable to the counters — bytes and flops describe what the
+    schedule *does*, not whether Python re-walked it.
+    """
+    counters = telemetry.counters
+    if not counters.enabled:
+        return
+    counters.add("engine.evaluations")
+    counters.add(
+        "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
+    )
+    counters.add("engine.bytes_get", report.bytes_get)
+    counters.add("engine.bytes_put", report.bytes_put)
+    counters.add("engine.flops", report.flops)
+    counters.add("engine.tiles", report.tiles)
+    counters.add("engine.simulated_seconds", report.seconds)
 
 
 #: Fraction of the DMA/compute overlap that LDM-port contention gives back.
@@ -125,10 +163,11 @@ OVERLAP_CONTENTION = 0.5
 class TileInterval:
     """Scheduled (get, compute, put) intervals of one tile, in seconds.
 
-    The single source of truth for the double-buffered recurrence: the
-    timed evaluation, the Gantt tracer (:mod:`repro.perf.trace`) and the
-    telemetry span export all consume these intervals, so the three views
-    of a schedule can never drift apart.
+    One tile's record of the double-buffered recurrence
+    (:func:`_double_buffer`): the timed evaluation folds the same
+    recurrence that the Gantt tracer (:mod:`repro.perf.trace`) and the
+    telemetry span export record, so the three views of a schedule can
+    never drift apart.
     """
 
     index: int
@@ -152,65 +191,98 @@ class TileInterval:
         return self.put_end - self.put_start
 
 
-def pipeline_intervals(costs: Iterable[_StepCost]) -> Iterable[TileInterval]:
-    """The double-buffered schedule of a cost stream, tile by tile.
+#: A run of ``count`` consecutive tiles that all cost ``cost``.
+CostRun = Tuple[_StepCost, int]
+
+
+def _double_buffer(
+    runs: Iterable[CostRun], sink: Optional[List[TileInterval]] = None
+) -> Tuple[float, float, float, float, float]:
+    """The double-buffered recurrence over ``(cost, count)`` runs.
 
     Gets and puts run on separate descriptor queues (every CPE issues its
     own DMA requests), so a store-back never blocks the next tile's
     prefetch; a tile's load waits for the ping/pong buffer to free (the
     compute of two tiles earlier).  Zero-length puts are pinned to the
     tile's compute end (there is nothing to schedule).
+
+    Every tile of a run takes its own pass through the recurrence, with the
+    same float operations in the same order as a tile-by-tile walk, so the
+    fold is exact; only the per-tile bookkeeping is gone.  ``sink``, when
+    given, receives each tile's :class:`TileInterval`.  Returns ``(end_get,
+    end_put, end_comp, dma_busy, comp_busy)``.
     """
-    get_free = 0.0
-    put_free = 0.0
-    comp_free = 0.0
-    comp_done_history: List[float] = []
-    for i, cost in enumerate(costs):
-        buffer_ready = comp_done_history[i - 2] if i >= 2 else 0.0
-        get_start = max(get_free, buffer_ready)
-        get_done = get_start + cost.get_seconds
-        comp_start = max(get_done, comp_free)
-        comp_done = comp_start + cost.compute_seconds
-        if cost.put_seconds > 0:
-            put_start = max(put_free, comp_done)
-            put_end = put_start + cost.put_seconds
-            put_free = put_end
-        else:
-            put_start = put_end = comp_done
-        get_free = get_done
-        comp_free = comp_done
-        comp_done_history.append(comp_done)
-        yield TileInterval(
-            index=i,
-            get_start=get_start,
-            get_end=get_done,
-            compute_start=comp_start,
-            compute_end=comp_done,
-            put_start=put_start,
-            put_end=put_end,
-        )
+    get_free = put_free = comp_free = 0.0
+    two_back = one_back = 0.0  # compute ends of the previous two tiles
+    end_put = dma_busy = comp_busy = 0.0
+    index = 0
+    for cost, count in runs:
+        get_s = cost.get_seconds
+        comp_s = cost.compute_seconds
+        put_s = cost.put_seconds
+        for _ in range(count):
+            # max(a, b) spelled inline: ``b if b > a else a`` is max's result.
+            get_start = two_back if two_back > get_free else get_free
+            get_free = get_start + get_s
+            comp_start = comp_free if comp_free > get_free else get_free
+            comp_free = comp_start + comp_s
+            if put_s > 0:
+                put_start = comp_free if comp_free > put_free else put_free
+                put_free = put_end = put_start + put_s
+            else:
+                put_start = put_end = comp_free
+            if put_end > end_put:
+                end_put = put_end
+            dma_busy += (get_free - get_start) + (put_end - put_start)
+            comp_busy += comp_free - comp_start
+            two_back, one_back = one_back, comp_free
+            if sink is not None:
+                sink.append(
+                    TileInterval(
+                        index, get_start, get_free, comp_start, comp_free,
+                        put_start, put_end,
+                    )
+                )
+                index += 1
+    return get_free, end_put, comp_free, dma_busy, comp_busy
+
+
+def pipeline_intervals(
+    runs: Iterable[CostRun], max_tiles: Optional[int] = None
+) -> List[TileInterval]:
+    """The first ``max_tiles`` tiles' intervals (all tiles when ``None``).
+
+    The recurrence of :func:`_double_buffer`, recorded tile by tile; a
+    tile's intervals depend only on the tiles before it, so cutting the
+    runs at ``max_tiles`` is exact.
+    """
+    if max_tiles is not None:
+        kept: List[CostRun] = []
+        left = max_tiles
+        for cost, count in runs:
+            if left <= 0:
+                break
+            kept.append((cost, min(count, left)))
+            left -= count
+        runs = kept
+    intervals: List[TileInterval] = []
+    _double_buffer(runs, intervals)
+    return intervals
 
 
 def _pipeline_timeline(
-    costs: Iterable[_StepCost], contention: float = OVERLAP_CONTENTION
+    runs: Iterable[CostRun], contention: float = OVERLAP_CONTENTION
 ) -> Tuple[float, float, float]:
     """Double-buffered timeline: returns (total, dma_busy, compute_busy).
 
-    Folds :func:`pipeline_intervals` down to totals.  The single memory
-    interface is enforced as a throughput bound: the whole layer can
-    finish no faster than the serial sum of all transfer times.
+    Folds the :func:`_double_buffer` recurrence over ``(cost, count)`` runs
+    down to totals.  The single memory interface is enforced as a
+    throughput bound: the whole layer can finish no faster than the serial
+    sum of all transfer times.
     """
     if not 0.0 <= contention <= 1.0:
         raise ValueError(f"contention must be in [0, 1], got {contention}")
-    end_get = end_put = end_comp = 0.0
-    dma_busy = 0.0
-    comp_busy = 0.0
-    for interval in pipeline_intervals(costs):
-        end_get = interval.get_end
-        end_comp = interval.compute_end
-        end_put = max(end_put, interval.put_end)
-        dma_busy += interval.get_seconds + interval.put_seconds
-        comp_busy += interval.compute_seconds
+    end_get, end_put, end_comp, dma_busy, comp_busy = _double_buffer(runs)
     # Shared memory interface: gets and puts cannot truly run concurrently
     # at full bandwidth, so the interface's serial busy time lower-bounds
     # the layer.
@@ -220,6 +292,33 @@ def _pipeline_timeline(
     hidden = max(0.0, dma_busy + comp_busy - total)
     total += contention * hidden
     return total, dma_busy, comp_busy
+
+
+def runs_report(
+    runs: Sequence[CostRun], contention: float, peak_flops: float
+) -> TimingReport:
+    """The :class:`TimingReport` of priced ``(cost, count)`` runs.
+
+    Times come from :func:`_pipeline_timeline`; the integer totals are
+    ``count x value`` per run.
+    """
+    total, dma_busy, comp_busy = _pipeline_timeline(runs, contention)
+    flops = bytes_get = bytes_put = tiles = 0
+    for cost, count in runs:
+        flops += count * cost.flops
+        bytes_get += count * cost.bytes_get
+        bytes_put += count * cost.bytes_put
+        tiles += count
+    return TimingReport(
+        seconds=total,
+        flops=flops,
+        dma_seconds=dma_busy,
+        compute_seconds=comp_busy,
+        bytes_get=bytes_get,
+        bytes_put=bytes_put,
+        tiles=tiles,
+        peak_flops=peak_flops,
+    )
 
 
 @dataclass(frozen=True)
@@ -449,9 +548,10 @@ class ConvolutionEngine:
     def _step_cost(self, step: TileStep) -> _StepCost:
         """Cost of one tile step, memoized on its transfer/flop signature.
 
-        Steady-state tiles repeat the same transfers thousands of times per
+        The full schedule repeats the same transfers thousands of times per
         layer; pricing each distinct (gets, puts, flops) combination once
-        removes the dominant Python cost of a timed walk.
+        keeps its walk cheap.  The timed runs share their steps, and
+        :meth:`_cost_runs` asks for each shared step once per walk.
         """
         key = (tuple(step.gets), tuple(step.puts), step.flops)
         cached = self._step_cost_cache.get(key)
@@ -507,49 +607,42 @@ class ConvolutionEngine:
             self.fused_pool,
         )
 
-    def _timed_walk(self, coalesced: bool) -> Tuple[TimingReport, bool]:
-        """The memoized timed walk of the coalesced or the full schedule.
+    def _timed_walk(self, run_length: bool) -> Tuple[TimingReport, bool]:
+        """The memoized timed walk of the run-length or the full schedule.
 
-        Returns the cached report itself (callers hand out ``replace``
-        copies so the memo cannot be mutated) and whether it was a hit.
+        ``run_length=True`` folds the plan's :meth:`~ConvPlan.timed_runs`
+        (one aggregate transfer per tensor per step, each distinct step
+        priced once); ``False`` walks every step of the full schedule as a
+        count-1 run.  Returns the cached report and whether it was a hit.
         """
-        key = (self._timing_key(), coalesced)
-        cached = _TIMING_CACHE.get(key)
-        if cached is not None:
-            return cached, True
-        costs = []
-        flops = 0
-        bytes_get = 0
-        bytes_put = 0
-        tiles = 0
-        for step in self.plan.compiled_schedule(coalesced=coalesced):
-            cost = self._step_cost(step)
-            costs.append(cost)
-            flops += cost.flops
-            bytes_get += cost.bytes_get
-            bytes_put += cost.bytes_put
-            tiles += 1
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
+        return memoized_timing(
+            (self._timing_key(), run_length), lambda: self._walk(run_length)
+        )
+
+    def _cost_runs(self) -> List[CostRun]:
+        """The plan's timed runs priced, each distinct (shared) step once."""
+        priced: Dict[int, _StepCost] = {}
+        runs = []
+        for step, count in self.plan.timed_runs():
+            cost = priced.get(id(step))
+            if cost is None:
+                cost = priced[id(step)] = self._step_cost(step)
+            runs.append((cost, count))
+        return runs
+
+    def _walk(self, run_length: bool) -> TimingReport:
+        if run_length:
+            runs = self._cost_runs()
+        else:
+            runs = [(self._step_cost(step), 1) for step in self.plan.compiled_schedule()]
+        report = runs_report(runs, self.overlap_contention, self.spec.peak_flops_per_cg)
         expected = self.plan.params.flops()
-        if flops != expected:
+        if report.flops != expected:
             raise SimulationError(
-                f"schedule flop count {flops} does not cover the layer "
+                f"schedule flop count {report.flops} does not cover the layer "
                 f"({expected}); the plan's tiling is incomplete"
             )
-        report = TimingReport(
-            seconds=total,
-            flops=flops,
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=bytes_get,
-            bytes_put=bytes_put,
-            tiles=tiles,
-            peak_flops=self.spec.peak_flops_per_cg,
-        )
-        if len(_TIMING_CACHE) >= _TIMING_CACHE_MAX:
-            _TIMING_CACHE.clear()
-        _TIMING_CACHE[key] = report
-        return report, False
+        return report
 
     def evaluate(self) -> TimingReport:
         """Timed walk of the schedule (no tensor data is touched).
@@ -558,49 +651,23 @@ class ConvolutionEngine:
         engine's timing knobs, so re-timing the same plan (chip strips,
         sweeps, repeated training layers) costs a dictionary lookup.
         """
-        report, cache_hit = self._timed_walk(coalesced=True)
-        self._count_evaluation(report, cache_hit=cache_hit)
+        report, cache_hit = self._timed_walk(run_length=True)
+        count_evaluation(self.telemetry, report, cache_hit)
         return replace(report)
-
-    def _count_evaluation(self, report: TimingReport, cache_hit: bool) -> None:
-        """Counter accounting for one timed walk (cached or fresh).
-
-        Counting from the report keeps memoized and fresh evaluations
-        indistinguishable to the counters — bytes and flops describe what
-        the schedule *does*, not whether Python re-walked it.
-        """
-        counters = self.telemetry.counters
-        if not counters.enabled:
-            return
-        counters.add("engine.evaluations")
-        counters.add(
-            "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
-        )
-        counters.add("engine.bytes_get", report.bytes_get)
-        counters.add("engine.bytes_put", report.bytes_put)
-        counters.add("engine.flops", report.flops)
-        counters.add("engine.tiles", report.tiles)
-        counters.add("engine.simulated_seconds", report.seconds)
 
     def record_tile_spans(self, max_tiles: int = 64) -> int:
         """Record the first ``max_tiles`` tiles' intervals as sim spans.
 
-        Replays the schedule through :func:`pipeline_intervals` (the same
-        recurrence the timed evaluation folds down) and emits one span per
-        non-empty get/compute/put window on the simulated-timeline tracks.
-        Returns the number of tiles recorded.
+        Replays the plan's timed runs through :func:`pipeline_intervals`
+        (the same recurrence the timed evaluation folds down) and emits one
+        span per non-empty get/compute/put window on the simulated-timeline
+        tracks.  Returns the number of tiles recorded.
         """
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return 0
-        costs = (
-            self._step_cost(step)
-            for step in self.plan.compiled_schedule(coalesced=True)
-        )
-        recorded = 0
-        for interval in pipeline_intervals(costs):
-            if interval.index >= max_tiles:
-                break
+        intervals = pipeline_intervals(self._cost_runs(), max_tiles)
+        for interval in intervals:
             i = interval.index
             if interval.get_seconds > 0:
                 tracer.record_sim(
@@ -618,8 +685,7 @@ class ConvolutionEngine:
                     f"tile[{i}].put", interval.put_start, interval.put_end,
                     track="dma-put", cat="tile",
                 )
-            recorded += 1
-        return recorded
+        return len(intervals)
 
     # -- functional -----------------------------------------------------------
 
@@ -771,7 +837,7 @@ class ConvolutionEngine:
             else:
                 out = self._run_tiles(x, w, pack)
             out = self._epilogue(out, bias, activation)
-            report = replace(self._timed_walk(coalesced=False)[0])
+            report = replace(self._timed_walk(run_length=False)[0])
         self.telemetry.counters.add("engine.runs")
         return out, report
 

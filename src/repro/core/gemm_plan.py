@@ -19,7 +19,7 @@ Bigger tiles amortize both panel loads; the LDM bounds the product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from repro.core.conv import (
     BACKENDS,
     OVERLAP_CONTENTION,
     TimingReport,
-    _pipeline_timeline,
     _StepCost,
+    runs_report,
 )
 from repro.core.register_blocking import PAPER_REGISTER_BLOCKING, RegisterBlocking
 from repro.core.register_comm import MeshGemm
@@ -112,6 +112,10 @@ def choose_gemm_blocking(
     return best
 
 
+#: ``((m_len, n_len, k_len, last_chunk), count)``: consecutive tile-chunks.
+ChunkRun = Tuple[Tuple[int, int, int, bool], int]
+
+
 class GemmPlan:
     """Tiled GEMM schedule with DMA traffic and timing, like a ConvPlan."""
 
@@ -133,6 +137,7 @@ class GemmPlan:
             raise PlanError(
                 f"tile ({self.b_m}, {self.b_n}, {self.b_k}) exceeds problem {params}"
             )
+        self._chunk_runs: Optional[Tuple[ChunkRun, ...]] = None
 
     def tiles(self) -> Iterator[Tuple[int, int, int, int]]:
         """Yield (m0, m_len, n0, n_len) output tiles in row-major order."""
@@ -149,14 +154,60 @@ class GemmPlan:
         for k0 in range(0, p.k, self.b_k):
             yield k0, min(self.b_k, p.k - k0)
 
+    def chunk_runs(self) -> Tuple[ChunkRun, ...]:
+        """The tile-chunk schedule as runs, memoized.
+
+        Each run is ``((m_len, n_len, k_len, last_chunk), count)``:
+        ``count`` consecutive tile-chunks of one geometry, in the order the
+        schedule executes them (row-major output tiles, each reducing over
+        its ``k`` chunks; the last chunk stores the tile).
+        """
+        if self._chunk_runs is None:
+            p = self.params
+            k_full, k_edge = divmod(p.k, self.b_k)
+            if k_edge:
+                chunks = [(self.b_k, False, k_full), (k_edge, True, 1)]
+            else:
+                chunks = [(self.b_k, False, k_full - 1), (self.b_k, True, 1)]
+            n_full, n_edge = divmod(p.n, self.b_n)
+            runs: List[ChunkRun] = []
+            for m0 in range(0, p.m, self.b_m):
+                m_len = min(self.b_m, p.m - m0)
+                for n_len, repeat in ((self.b_n, n_full), (n_edge, 1 if n_edge else 0)):
+                    if not repeat:
+                        continue
+                    tile = [
+                        ((m_len, n_len, k_len, last), count)
+                        for k_len, last, count in chunks
+                        if count
+                    ]
+                    # A one-chunk tile repeats as one run; a longer one
+                    # starts and ends on different keys, so never merges.
+                    if len(tile) == 1:
+                        tile = [(tile[0][0], tile[0][1] * repeat)]
+                    else:
+                        tile = tile * repeat
+                    if runs and runs[-1][0] == tile[0][0]:
+                        runs[-1] = (tile[0][0], runs[-1][1] + tile[0][1])
+                        tile = tile[1:]
+                    runs.extend(tile)
+            self._chunk_runs = tuple(runs)
+        return self._chunk_runs
+
     def dma_streams(self) -> List[DMAStream]:
+        """Per-operand traffic in closed form.
+
+        Every output tile streams its full-``K`` A row panel and B column
+        panel once and stores itself once, so A moves ``M x K`` once per
+        column of tiles, B moves ``K x N`` once per row of tiles, and C
+        moves ``M x N``.
+        """
         p = self.params
-        k_steps = -(-p.k // self.b_k)
-        a_bytes = b_bytes = c_bytes = 0
-        for _, m_len, _, n_len in self.tiles():
-            a_bytes += m_len * p.k * DS  # bM x bK per chunk, all chunks = bM x K
-            b_bytes += p.k * n_len * DS
-            c_bytes += m_len * n_len * DS
+        m_tiles = -(-p.m // self.b_m)
+        n_tiles = -(-p.n // self.b_n)
+        a_bytes = n_tiles * p.m * p.k * DS
+        b_bytes = m_tiles * p.k * p.n * DS
+        c_bytes = p.m * p.n * DS
         block_a = min(self.b_k, 512) * DS
         block_bc = min(self.b_n, 512) * DS
         return [
@@ -184,6 +235,28 @@ class GemmPlan:
             ),
             mbw_reg=self.spec.ldm_bandwidth,
         )
+
+
+def gemm_runs_report(
+    plan: GemmPlan,
+    price: Callable[[int, int, int, bool], _StepCost],
+    contention: float,
+    peak_flops: float,
+) -> TimingReport:
+    """Time ``plan``'s chunk runs, pricing each distinct chunk once.
+
+    ``price(m_len, n_len, k_len, last_chunk)`` is the cost of one
+    tile-chunk; the lowered conv engines pass their own (Winograd streams
+    all 16 transform components per chunk).
+    """
+    priced = {}
+    runs = []
+    for key, count in plan.chunk_runs():
+        cost = priced.get(key)
+        if cost is None:
+            cost = priced[key] = price(*key)
+        runs.append((cost, count))
+    return runs_report(runs, contention, peak_flops)
 
 
 class GemmEngine:
@@ -239,22 +312,8 @@ class GemmEngine:
         )
 
     def evaluate(self) -> TimingReport:
-        chunks = list(self.plan.k_chunks())
-        costs = [
-            self._cost(m_len, n_len, k_len, i == len(chunks) - 1)
-            for _, m_len, _, n_len in self.plan.tiles()
-            for i, (_, k_len) in enumerate(chunks)
-        ]
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
-        return TimingReport(
-            seconds=total,
-            flops=sum(c.flops for c in costs),
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=sum(c.bytes_get for c in costs),
-            bytes_put=sum(c.bytes_put for c in costs),
-            tiles=len(costs),
-            peak_flops=self.spec.peak_flops_per_cg,
+        return gemm_runs_report(
+            self.plan, self._cost, self.overlap_contention, self.spec.peak_flops_per_cg
         )
 
     def run(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, TimingReport]:

@@ -2,19 +2,21 @@
 
 A :class:`ConvPlan` turns layer parameters + blocking choices into a *tile
 schedule*: the exact sequence of DMA transfers and LDM-resident GEMM updates
-the CPE cluster performs.  The same schedule drives both execution modes of
-:class:`repro.core.conv.ConvolutionEngine`:
+the CPE cluster performs.  It renders that schedule two ways for the two
+execution modes of :class:`repro.core.conv.ConvolutionEngine`:
 
-* the functional mode moves real tensor data tile by tile (so the result is
-  checked against the NumPy reference), and
-* the timed mode charges each transfer against the Table II DMA model and
-  each GEMM against the reordered-kernel pipeline timing, with double
+* the full schedule (:meth:`ConvPlan.tile_schedule`) drives the functional
+  mode, which moves real tensor data tile by tile (so the result is checked
+  against the NumPy reference), and
+* the run-length timed rendering (:meth:`ConvPlan.timed_runs`) drives the
+  timed mode, which charges each transfer against the Table II DMA model
+  and each GEMM against the reordered-kernel pipeline timing, with double
   buffering overlapping the two.
 
-``dma_streams()`` aggregates the schedule's traffic into the per-stream
-volumes/block-sizes the performance model blends into its ``MBW``, so the
-analytic model and the simulated execution see the same bytes by
-construction (a property the test suite checks).
+``dma_streams()`` aggregates the timed rendering's traffic into the
+per-stream volumes/block-sizes the performance model blends into its
+``MBW``, so the analytic model and the simulated execution see the same
+bytes by construction (a property the test suite checks).
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ class TileStep:
     flops: int = 0
 
 
+#: ``count`` consecutive tiles that all execute ``step``.
+TileRun = Tuple[TileStep, int]
+
+
+def _append_run(runs: List[TileRun], step: TileStep, count: int) -> None:
+    """Append ``count`` tiles of ``step``, extending the last run if it matches."""
+    if runs and runs[-1][0] is step:
+        runs[-1] = (step, runs[-1][1] + count)
+    else:
+        runs.append((step, count))
+
+
 class ConvPlan(abc.ABC):
     """Base class of the two loop-schedule families."""
 
@@ -116,39 +130,56 @@ class ConvPlan(abc.ABC):
         self.spec = spec
         register_blocking.check_feasible(spec)
         self._streams_cache: Optional[List[DMAStream]] = None
-        self._schedule_cache: dict = {}
+        self._schedule_cache: Optional[Tuple[TileStep, ...]] = None
+        self._runs_cache: Optional[Tuple[TileRun, ...]] = None
 
     # -- schedule -------------------------------------------------------------
 
     @abc.abstractmethod
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
-        """Yield the plan's tile steps in execution order.
+    def tile_schedule(self) -> Iterator[TileStep]:
+        """Yield the plan's full tile steps in execution order.
 
-        ``coalesced=True`` merges each step's per-(kr, kc) transfers into
-        one aggregate transfer per tensor (identical bytes, identical block
-        sizes, so identical DMA time) and omits the per-update
-        :class:`ComputeSpec` list — the fast path the timed evaluation and
-        the traffic aggregation use.  The functional engine reads the full
-        schedule: the mesh backends walk it tile by tile, and the numpy
-        backend compiles it once into a strip program (see
+        Every step lists its per-(kr, kc, ni-block) transfers and
+        :class:`ComputeSpec` updates.  The functional engine reads it: the
+        mesh backends walk it tile by tile, and the numpy backend compiles
+        it once into a strip program (see
         :class:`repro.core.conv.StripProgram`).
         """
 
-    def compiled_schedule(self, coalesced: bool = False) -> Tuple[TileStep, ...]:
-        """The tile schedule, materialized once and cached.
+    def compiled_schedule(self) -> Tuple[TileStep, ...]:
+        """The full tile schedule, materialized once and cached.
 
         Generating a schedule walks the full blocked loop nest in Python;
-        for repeated executions of the same plan (training, sweeps, the
-        handle's plan cache) that regeneration dominates, so the first call
-        compiles the schedule to a tuple and later calls reuse it.  Callers
-        must treat the cached steps as immutable.
+        for repeated executions of the same plan (training, the handle's
+        plan cache) that regeneration dominates, so the first call compiles
+        the schedule to a tuple and later calls reuse it.  Callers must
+        treat the cached steps as immutable.
         """
-        key = bool(coalesced)
-        cached = self._schedule_cache.get(key)
-        if cached is None:
-            cached = tuple(self.tile_schedule(coalesced=key))
-            self._schedule_cache[key] = cached
-        return cached
+        if self._schedule_cache is None:
+            self._schedule_cache = tuple(self.tile_schedule())
+        return self._schedule_cache
+
+    def timed_runs(self) -> Tuple[TileRun, ...]:
+        """The run-length timed rendering: ``(step, count)`` runs, memoized.
+
+        Each timed step merges the per-(kr, kc, ni-block) transfers of its
+        full-schedule step (on Algorithm 2, of the input-column steps of
+        one (row, kr) pass) into one aggregate transfer per tensor
+        (identical bytes, identical block sizes, so identical DMA time)
+        and carries no :class:`ComputeSpec` list.  Steps with the same
+        geometry are one shared object, and consecutive repeats collapse
+        into one run of ``count`` tiles, in exact execution order — so the
+        timed evaluation prices each distinct step once and the traffic
+        aggregation is ``count x bytes``.  Callers must treat the shared
+        steps as immutable.
+        """
+        if self._runs_cache is None:
+            self._runs_cache = tuple(self._timed_runs())
+        return self._runs_cache
+
+    @abc.abstractmethod
+    def _timed_runs(self) -> List[TileRun]:
+        """Build the :meth:`timed_runs` of this family."""
 
     def signature(self) -> Tuple:
         """Hashable identity of the schedule this plan generates.
@@ -183,17 +214,18 @@ class ConvPlan(abc.ABC):
 
         The block size reported per stream is the byte-weighted dominant
         block of that stream (steady-state tiles dominate edge tiles).
+        Both sums are exact integers, ``count x value`` per run.
         """
         if self._streams_cache is not None:
             return self._streams_cache
         totals: dict = {}
-        for step in self.compiled_schedule(coalesced=True):
-            for tr in list(step.gets) + list(step.puts):
+        for step, count in self.timed_runs():
+            for tr in step.gets + step.puts:
                 key = (tr.tensor, tr.direction)
-                bytes_so_far, weighted_block = totals.get(key, (0, 0.0))
+                bytes_so_far, weighted_block = totals.get(key, (0, 0))
                 totals[key] = (
-                    bytes_so_far + tr.nbytes,
-                    weighted_block + tr.nbytes * tr.block_bytes,
+                    bytes_so_far + count * tr.nbytes,
+                    weighted_block + count * tr.nbytes * tr.block_bytes,
                 )
         streams = []
         for (tensor, direction), (nbytes, weighted) in sorted(totals.items()):
@@ -280,90 +312,135 @@ class ImageSizeAwarePlan(ConvPlan):
             peak_flops=self.spec.peak_flops_per_cg,
         )
 
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
+    def _input_tile(self, co_len: int) -> Tuple[int, int, int]:
+        """``(columns, block bytes, loads per ni-block)`` of a tile's input.
+
+        Promoted, one halo-widened input row per kr covers all kc;
+        otherwise the input streams per (kr, kc).
+        """
+        p = self.params
+        if self.blocking.promote_input:
+            in_cols = co_len + p.kc - 1
+            return in_cols, image_plan_block_bytes(in_cols), p.kr
+        return co_len, image_plan_block_bytes(co_len), p.kr * p.kc
+
+    def _filter_tile(self) -> Tuple[int, int]:
+        """``(kc columns per load, loads per ni-block)`` of a tile's filter."""
+        p = self.params
+        if self.blocking.promote_filter:
+            return p.kc, p.kr
+        return 1, p.kr * p.kc
+
+    def _tile_flops(self, bb_len: int, co_len: int) -> int:
+        p = self.params
+        return 2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc
+
+    def _output_put(self, bb_len: int, co_len: int) -> TileTransfer:
+        p = self.params
+        return TileTransfer(
+            "output", bb_len * p.no * co_len * DS, image_plan_block_bytes(co_len), "put"
+        )
+
+    def tile_schedule(self) -> Iterator[TileStep]:
         p, blk = self.params, self.blocking
         flt_block = filter_block_bytes(p.no)
+        flt_kc, flt_count = self._filter_tile()
+        b_ni = blk.ni_block(p.ni)
+        ni_blocks = [(ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)]
         for bb in range(0, p.b, blk.b_b):
             bb_len = min(blk.b_b, p.b - bb)
             for ro in range(p.ro):
                 for co in range(0, p.co, blk.b_co):
                     co_len = min(blk.b_co, p.co - co)
-                    in_block = image_plan_block_bytes(co_len)
+                    in_cols, in_halo_block, in_count = self._input_tile(co_len)
                     step = TileStep()
-                    b_ni = blk.ni_block(p.ni)
-                    ni_blocks = [
-                        (ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)
-                    ]
-                    if blk.promote_input:
-                        # One halo-widened input row per kr covers all kc.
-                        in_cols = co_len + p.kc - 1
-                        in_halo_block = image_plan_block_bytes(in_cols)
-                        in_count = p.kr
-                    else:
-                        in_cols = co_len
-                        in_halo_block = in_block
-                        in_count = p.kr * p.kc
-                    flt_kc = p.kc if blk.promote_filter else 1
-                    flt_count = p.kr if blk.promote_filter else p.kr * p.kc
-                    if coalesced:
-                        step.gets.append(
-                            TileTransfer(
-                                "input",
-                                p.ni * bb_len * in_cols * DS * in_count,
-                                in_halo_block,
-                                "get",
+                    for ni0, ni_len in ni_blocks:
+                        for _ in range(in_count):
+                            step.gets.append(
+                                TileTransfer(
+                                    "input",
+                                    ni_len * bb_len * in_cols * DS,
+                                    in_halo_block,
+                                    "get",
+                                )
                             )
-                        )
-                        step.gets.append(
-                            TileTransfer(
-                                "filter",
-                                p.ni * p.no * flt_kc * DS * flt_count,
-                                flt_block,
-                                "get",
+                        for _ in range(flt_count):
+                            step.gets.append(
+                                TileTransfer(
+                                    "filter",
+                                    ni_len * p.no * flt_kc * DS,
+                                    flt_block,
+                                    "get",
+                                )
                             )
-                        )
-                    else:
-                        for ni0, ni_len in ni_blocks:
-                            for _ in range(in_count):
-                                step.gets.append(
-                                    TileTransfer(
-                                        "input",
-                                        ni_len * bb_len * in_cols * DS,
-                                        in_halo_block,
-                                        "get",
+                        for kr in range(p.kr):
+                            for kc in range(p.kc):
+                                step.computes.append(
+                                    ComputeSpec(
+                                        bb=bb,
+                                        bb_len=bb_len,
+                                        ro=ro,
+                                        co=co,
+                                        co_len=co_len,
+                                        kr=kr,
+                                        kc=kc,
+                                        ni0=ni0,
+                                        ni_len=ni_len,
                                     )
                                 )
-                            for _ in range(flt_count):
-                                step.gets.append(
-                                    TileTransfer(
-                                        "filter",
-                                        ni_len * p.no * flt_kc * DS,
-                                        flt_block,
-                                        "get",
-                                    )
-                                )
-                            for kr in range(p.kr):
-                                for kc in range(p.kc):
-                                    step.computes.append(
-                                        ComputeSpec(
-                                            bb=bb,
-                                            bb_len=bb_len,
-                                            ro=ro,
-                                            co=co,
-                                            co_len=co_len,
-                                            kr=kr,
-                                            kc=kc,
-                                            ni0=ni0,
-                                            ni_len=ni_len,
-                                        )
-                                    )
-                    step.flops = 2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc
-                    step.puts.append(
-                        TileTransfer(
-                            "output", bb_len * p.no * co_len * DS, in_block, "put"
-                        )
-                    )
+                    step.flops = self._tile_flops(bb_len, co_len)
+                    step.puts.append(self._output_put(bb_len, co_len))
                     yield step
+
+    def _timed_runs(self) -> List[TileRun]:
+        """One shared step per distinct ``(bb_len, co_len)``.
+
+        Each output row is ``co // bCo`` full column tiles plus one edge
+        tile when ``bCo`` does not divide ``Co``; rows repeat ``Ro`` times
+        per batch block.
+        """
+        p, blk = self.params, self.blocking
+        n_full, edge = divmod(p.co, blk.b_co)
+        steps: dict = {}
+
+        def step_for(bb_len: int, co_len: int) -> TileStep:
+            step = steps.get((bb_len, co_len))
+            if step is None:
+                in_cols, in_halo_block, in_count = self._input_tile(co_len)
+                flt_kc, flt_count = self._filter_tile()
+                step = TileStep(
+                    gets=[
+                        TileTransfer(
+                            "input",
+                            p.ni * bb_len * in_cols * DS * in_count,
+                            in_halo_block,
+                            "get",
+                        ),
+                        TileTransfer(
+                            "filter",
+                            p.ni * p.no * flt_kc * DS * flt_count,
+                            filter_block_bytes(p.no),
+                            "get",
+                        ),
+                    ],
+                    puts=[self._output_put(bb_len, co_len)],
+                    flops=self._tile_flops(bb_len, co_len),
+                )
+                steps[(bb_len, co_len)] = step
+            return step
+
+        runs: List[TileRun] = []
+        for bb in range(0, p.b, blk.b_b):
+            bb_len = min(blk.b_b, p.b - bb)
+            row = []
+            if n_full:
+                row.append((step_for(bb_len, blk.b_co), n_full))
+            if edge:
+                row.append((step_for(bb_len, edge), 1))
+            for _ in range(p.ro):
+                for step, count in row:
+                    _append_run(runs, step, count)
+        return runs
 
 
 class BatchSizeAwarePlan(ConvPlan):
@@ -407,94 +484,134 @@ class BatchSizeAwarePlan(ConvPlan):
             peak_flops=self.spec.peak_flops_per_cg,
         )
 
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
+    def _filter_head(self) -> TileStep:
+        """The promoted filter load that opens every (row, kr) pass."""
+        p = self.params
+        return TileStep(
+            gets=[
+                TileTransfer(
+                    "filter", p.ni * p.no * p.kc * DS, filter_block_bytes(p.no), "get"
+                )
+            ]
+        )
+
+    def _output_tail(self, co_len: int) -> TileStep:
+        """The store of one (column block, row) output tile."""
+        p = self.params
+        return TileStep(
+            puts=[
+                TileTransfer(
+                    "output",
+                    co_len * p.b * p.no * DS,
+                    batch_plan_block_bytes(p.b),
+                    "put",
+                )
+            ]
+        )
+
+    def tile_schedule(self) -> Iterator[TileStep]:
         p, blk = self.params, self.blocking
         in_block = batch_plan_block_bytes(p.b)
         flt_block = filter_block_bytes(p.no)
+        b_ni = blk.ni_block(p.ni)
+        ni_blocks = [(ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)]
         for co_start in range(0, p.co, blk.b_co):
             co_len = min(blk.b_co, p.co - co_start)
             # Every block sees co_len + Kc - 1 input columns (Ci = Co+Kc-1
             # guarantees no clipping) and exactly co_len * Kc (ci, kc)
             # update pairs.
             n_columns = co_len + p.kc - 1
-            n_updates = co_len * p.kc
             for ro in range(p.ro):
                 for kr in range(p.kr):
                     if blk.promote_filter:
-                        head = TileStep()
-                        head.gets.append(
-                            TileTransfer(
-                                "filter", p.ni * p.no * p.kc * DS, flt_block, "get"
-                            )
-                        )
-                        yield head
-                    if coalesced:
+                        yield self._filter_head()
+                    for ci in range(co_start, co_start + n_columns):
                         step = TileStep()
-                        step.gets.append(
-                            TileTransfer(
-                                "input", p.ni * p.b * n_columns * DS, in_block, "get"
-                            )
-                        )
-                        if not blk.promote_filter:
+                        for ni0, ni_len in ni_blocks:
                             step.gets.append(
                                 TileTransfer(
-                                    "filter",
-                                    p.ni * p.no * n_updates * DS,
-                                    flt_block,
-                                    "get",
+                                    "input", ni_len * p.b * DS, in_block, "get"
                                 )
                             )
-                        step.flops = 2 * p.b * p.no * p.ni * n_updates
-                        yield step
-                    else:
-                        b_ni = blk.ni_block(p.ni)
-                        ni_blocks = [
-                            (ni0, min(b_ni, p.ni - ni0))
-                            for ni0 in range(0, p.ni, b_ni)
-                        ]
-                        for ci in range(co_start, co_start + n_columns):
-                            step = TileStep()
-                            for ni0, ni_len in ni_blocks:
-                                step.gets.append(
-                                    TileTransfer(
-                                        "input", ni_len * p.b * DS, in_block, "get"
-                                    )
-                                )
-                                for kc in range(p.kc):
-                                    co = ci - kc
-                                    if co_start <= co < co_start + co_len:
-                                        if not blk.promote_filter:
-                                            step.gets.append(
-                                                TileTransfer(
-                                                    "filter",
-                                                    ni_len * p.no * DS,
-                                                    flt_block,
-                                                    "get",
-                                                )
-                                            )
-                                        step.computes.append(
-                                            ComputeSpec(
-                                                bb=0,
-                                                bb_len=p.b,
-                                                ro=ro,
-                                                co=co,
-                                                co_len=1,
-                                                kr=kr,
-                                                kc=kc,
-                                                ni0=ni0,
-                                                ni_len=ni_len,
+                            for kc in range(p.kc):
+                                co = ci - kc
+                                if co_start <= co < co_start + co_len:
+                                    if not blk.promote_filter:
+                                        step.gets.append(
+                                            TileTransfer(
+                                                "filter",
+                                                ni_len * p.no * DS,
+                                                flt_block,
+                                                "get",
                                             )
                                         )
-                                        step.flops += 2 * p.b * p.no * ni_len
-                            yield step
+                                    step.computes.append(
+                                        ComputeSpec(
+                                            bb=0,
+                                            bb_len=p.b,
+                                            ro=ro,
+                                            co=co,
+                                            co_len=1,
+                                            kr=kr,
+                                            kc=kc,
+                                            ni0=ni0,
+                                            ni_len=ni_len,
+                                        )
+                                    )
+                                    step.flops += 2 * p.b * p.no * ni_len
+                        yield step
                 # Output stored once per (column block, row).
-                tail = TileStep()
-                tail.puts.append(
-                    TileTransfer(
-                        "output", co_len * p.b * p.no * DS, in_block, "put"
-                    )
+                yield self._output_tail(co_len)
+
+    def _timed_runs(self) -> List[TileRun]:
+        """One shared input step per ``co_len``, plus the head and the tail.
+
+        Each (row, kr) pass of a column block is one step carrying all its
+        input columns (and, unpromoted, all its per-update filter loads);
+        promoted, the shared filter head opens every pass.
+        """
+        p, blk = self.params, self.blocking
+        head = self._filter_head() if blk.promote_filter else None
+        steps: dict = {}
+
+        def steps_for(co_len: int) -> Tuple[TileStep, TileStep]:
+            """The shared (input step, output tail) of a column block."""
+            if co_len not in steps:
+                n_columns = co_len + p.kc - 1
+                n_updates = co_len * p.kc
+                step = TileStep(
+                    gets=[
+                        TileTransfer(
+                            "input",
+                            p.ni * p.b * n_columns * DS,
+                            batch_plan_block_bytes(p.b),
+                            "get",
+                        )
+                    ],
+                    flops=2 * p.b * p.no * p.ni * n_updates,
                 )
-                yield tail
+                if head is None:
+                    step.gets.append(
+                        TileTransfer(
+                            "filter",
+                            p.ni * p.no * n_updates * DS,
+                            filter_block_bytes(p.no),
+                            "get",
+                        )
+                    )
+                steps[co_len] = (step, self._output_tail(co_len))
+            return steps[co_len]
+
+        runs: List[TileRun] = []
+        for co_start in range(0, p.co, blk.b_co):
+            step, tail = steps_for(min(blk.b_co, p.co - co_start))
+            for _ in range(p.ro):
+                for _ in range(p.kr):
+                    if head is not None:
+                        _append_run(runs, head, 1)
+                    _append_run(runs, step, 1)
+                _append_run(runs, tail, 1)
+        return runs
 
 
 def make_plan(

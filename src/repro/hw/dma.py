@@ -18,6 +18,7 @@ the double-buffering overlap of Section IV-A.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -56,14 +57,17 @@ class DMABandwidthModel:
         self._put = [table[s][1] for s in self._sizes]
         self.alignment = alignment
         self.misalignment_factor = misalignment_factor
+        # (block, direction, aligned) -> bytes/s; a timed walk asks for the
+        # same few block sizes over and over.
+        self._memo: Dict[Tuple[int, str, bool], float] = {}
 
     def get_bandwidth(self, block_bytes: int, aligned: bool = True) -> float:
         """Memory -> LDM bandwidth in bytes/second for a given block size."""
-        return self._lookup(block_bytes, self._get, aligned)
+        return self._lookup(block_bytes, "get", aligned)
 
     def put_bandwidth(self, block_bytes: int, aligned: bool = True) -> float:
         """LDM -> memory bandwidth in bytes/second for a given block size."""
-        return self._lookup(block_bytes, self._put, aligned)
+        return self._lookup(block_bytes, "put", aligned)
 
     def bandwidth(self, block_bytes: int, direction: str, aligned: bool = True) -> float:
         """Bandwidth for ``direction`` in {"get", "put"}."""
@@ -93,7 +97,17 @@ class DMABandwidthModel:
         """Whether a block size meets the 128-byte DDR3 burst alignment."""
         return block_bytes % self.alignment == 0
 
-    def _lookup(self, block_bytes: int, column: List[float], aligned: bool) -> float:
+    def _lookup(self, block_bytes: int, direction: str, aligned: bool) -> float:
+        key = (block_bytes, direction, aligned)
+        value = self._memo.get(key)
+        if value is None:
+            column = self._get if direction == "get" else self._put
+            value = self._memo[key] = self._interpolate(block_bytes, column, aligned)
+        return value
+
+    def _interpolate(
+        self, block_bytes: int, column: List[float], aligned: bool
+    ) -> float:
         if block_bytes <= 0:
             raise ValueError(f"block size must be positive, got {block_bytes}")
         sizes = self._sizes
@@ -104,7 +118,7 @@ class DMABandwidthModel:
             value = column[-1]
         else:
             # Piecewise-linear in log2(size).
-            hi = next(i for i, s in enumerate(sizes) if s >= block_bytes)
+            hi = bisect.bisect_left(sizes, block_bytes)
             lo = hi - 1
             if sizes[hi] == block_bytes:
                 value = column[hi]

@@ -6,10 +6,13 @@ this module replays the engine's timeline recurrence while recording the
 ASCII Gantt chart — the visual the Section IV-A double-buffering argument
 is usually drawn as.
 
-The recurrence itself lives in :func:`repro.core.conv.pipeline_intervals`
-— the same generator the timed evaluation folds down and the telemetry
-span exporter replays — so the Gantt chart, the timing report and the
-Chrome trace can never disagree about the schedule.
+The tiles are the plan's run-length timed rendering
+(:meth:`~repro.core.plans.ConvPlan.timed_runs`), expanded only up to
+``max_tiles``.  The recurrence itself lives in
+:func:`repro.core.conv.pipeline_intervals` — the same double-buffer
+recurrence the timed evaluation folds down over ``(cost, count)`` runs and
+the telemetry span exporter replays — so the Gantt chart, the timing
+report and the Chrome trace can never disagree about the schedule.
 """
 
 from __future__ import annotations
@@ -45,16 +48,7 @@ def trace_plan(
         if plan is None:
             raise ValueError("trace_plan needs a plan or an engine")
         engine = ConvolutionEngine(plan)
-    costs = (
-        engine._step_cost(step)
-        for step in engine.plan.compiled_schedule(coalesced=True)
-    )
-    traces: List[TileTrace] = []
-    for interval in pipeline_intervals(costs):
-        if interval.index >= max_tiles:
-            break
-        traces.append(interval)
-    return traces
+    return pipeline_intervals(engine._cost_runs(), max_tiles)
 
 
 def render_gantt(traces: List[TileTrace], width: int = 72) -> str:

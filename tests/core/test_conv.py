@@ -88,9 +88,9 @@ class TestTiming:
         w = rng.standard_normal(small_params.filter_shape)
         _, run_report = ConvolutionEngine(plan).run(x, w)
         eval_report = ConvolutionEngine(plan).evaluate()
-        # The functional walk uses the full schedule, timed walk the
-        # coalesced one; totals agree because byte/flop sums are identical
-        # and the coalescing merges only same-cycle-cost transfers.
+        # The functional walk uses the full schedule, the timed walk its
+        # run-length rendering; totals agree because byte/flop sums are
+        # identical and the rendering merges only same-block transfers.
         assert run_report.flops == eval_report.flops
         assert run_report.bytes_get == eval_report.bytes_get
         assert run_report.seconds == pytest.approx(eval_report.seconds, rel=0.1)
@@ -130,35 +130,35 @@ class TestTiming:
 class TestPipelineTimeline:
     def test_single_step(self):
         total, dma, comp = _pipeline_timeline(
-            [_StepCost(1.0, 2.0, 0.5, 0, 0, 0)], contention=0.0
+            [(_StepCost(1.0, 2.0, 0.5, 0, 0, 0), 1)], contention=0.0
         )
         assert total == pytest.approx(3.5)
         assert dma == pytest.approx(1.5)
         assert comp == pytest.approx(2.0)
 
     def test_double_buffering_overlaps(self):
-        costs = [_StepCost(1.0, 1.0, 0.0, 0, 0, 0) for _ in range(10)]
-        total, dma, comp = _pipeline_timeline(costs, contention=0.0)
+        runs = [(_StepCost(1.0, 1.0, 0.0, 0, 0, 0), 10)]
+        total, dma, comp = _pipeline_timeline(runs, contention=0.0)
         # Perfect overlap: ~11 units instead of 20.
         assert total < 12.0
 
     def test_interface_serial_bound(self):
         # DMA-dominated: total can never beat the serial transfer time.
-        costs = [_StepCost(2.0, 0.1, 1.0, 0, 0, 0) for _ in range(5)]
-        total, dma, _ = _pipeline_timeline(costs, contention=0.0)
+        runs = [(_StepCost(2.0, 0.1, 1.0, 0, 0, 0), 5)]
+        total, dma, _ = _pipeline_timeline(runs, contention=0.0)
         assert total >= dma
 
     def test_contention_penalizes_overlap(self):
-        costs = [_StepCost(1.0, 1.0, 0.0, 0, 0, 0) for _ in range(10)]
-        ideal, _, _ = _pipeline_timeline(costs, contention=0.0)
-        half, _, _ = _pipeline_timeline(costs, contention=0.5)
-        full, _, _ = _pipeline_timeline(costs, contention=1.0)
+        runs = [(_StepCost(1.0, 1.0, 0.0, 0, 0, 0), 10)]
+        ideal, _, _ = _pipeline_timeline(runs, contention=0.0)
+        half, _, _ = _pipeline_timeline(runs, contention=0.5)
+        full, _, _ = _pipeline_timeline(runs, contention=1.0)
         assert ideal < half < full
         assert full == pytest.approx(20.0)
 
     def test_contention_validated(self):
         with pytest.raises(ValueError):
-            _pipeline_timeline([_StepCost(1, 1, 1, 0, 0, 0)], contention=2.0)
+            _pipeline_timeline([(_StepCost(1, 1, 1, 0, 0, 0), 1)], contention=2.0)
 
     def test_empty(self):
         total, dma, comp = _pipeline_timeline([])

@@ -104,8 +104,8 @@ class TestAccounting:
                 t.nbytes for s in plan.tile_schedule() for t in s.gets + s.puts
             )
             coal = sum(
-                t.nbytes
-                for s in plan.tile_schedule(coalesced=True)
+                t.nbytes * count
+                for s, count in plan.timed_runs()
                 for t in s.gets + s.puts
             )
             assert full == coal

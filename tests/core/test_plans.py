@@ -19,14 +19,21 @@ def params():
     return ConvParams(ni=16, no=16, ri=10, ci=10, kr=3, kc=3, b=16)
 
 
-def _total_flops(plan, coalesced):
-    return sum(step.flops for step in plan.tile_schedule(coalesced=coalesced))
+def _steps(plan, timed):
+    """``(step, count)`` pairs: the timed runs, or the full schedule's steps."""
+    if timed:
+        return plan.timed_runs()
+    return [(step, 1) for step in plan.tile_schedule()]
 
 
-def _total_bytes(plan, coalesced):
+def _total_flops(plan, timed):
+    return sum(step.flops * count for step, count in _steps(plan, timed))
+
+
+def _total_bytes(plan, timed):
     return sum(
-        t.nbytes
-        for step in plan.tile_schedule(coalesced=coalesced)
+        t.nbytes * count
+        for step, count in _steps(plan, timed)
         for t in list(step.gets) + list(step.puts)
     )
 
@@ -58,15 +65,18 @@ class TestFlopCoverage:
 
 
 class TestCoalescedConsistency:
+    """The run-length timed rendering (one coalesced transfer per tensor
+    per step) against the full schedule."""
+
     def test_bytes_identical(self, params):
         for family in (ImageSizeAwarePlan, BatchSizeAwarePlan):
             plan = family(params)
             assert _total_bytes(plan, True) == _total_bytes(plan, False)
 
     def test_coalesced_has_no_computespecs(self, params):
-        plan = ImageSizeAwarePlan(params)
-        for step in plan.tile_schedule(coalesced=True):
-            assert step.computes == []
+        for family in (ImageSizeAwarePlan, BatchSizeAwarePlan):
+            for step, _ in family(params).timed_runs():
+                assert step.computes == []
 
     def test_full_schedule_has_computespecs(self, params):
         plan = ImageSizeAwarePlan(params)

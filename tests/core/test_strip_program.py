@@ -136,8 +136,8 @@ class TestServeCoalescing:
 class _ReorderedPlan(ImageSizeAwarePlan):
     """Every other tile accumulates its updates in reverse order."""
 
-    def tile_schedule(self, coalesced=False):
-        for i, step in enumerate(super().tile_schedule(coalesced)):
+    def tile_schedule(self):
+        for i, step in enumerate(super().tile_schedule()):
             if i % 2:
                 step.computes.reverse()
             yield step
@@ -146,8 +146,8 @@ class _ReorderedPlan(ImageSizeAwarePlan):
 class _DroppedTilePlan(ImageSizeAwarePlan):
     """The last tile never runs: its tile column misses an output row."""
 
-    def tile_schedule(self, coalesced=False):
-        return iter(list(super().tile_schedule(coalesced))[:-1])
+    def tile_schedule(self):
+        return iter(list(super().tile_schedule())[:-1])
 
 
 class _OverlappingColumnsPlan(ImageSizeAwarePlan):
@@ -156,8 +156,8 @@ class _OverlappingColumnsPlan(ImageSizeAwarePlan):
     def __init__(self, params):
         super().__init__(params, blocking=ImageBlocking(b_b=1, b_co=params.co))
 
-    def tile_schedule(self, coalesced=False):
-        for step in super().tile_schedule(coalesced):
+    def tile_schedule(self):
+        for step in super().tile_schedule():
             yield step
             if step.computes and step.computes[0].bb == 0:
                 yield TileStep(
@@ -204,7 +204,9 @@ class TestRunTimingMemo:
         x, w = _data(self.PARAMS, 2)
         _, report = engine.run(x, w)
         costs = [engine._step_cost(step) for step in engine.plan.compiled_schedule()]
-        total, dma, comp = _pipeline_timeline(costs, engine.overlap_contention)
+        total, dma, comp = _pipeline_timeline(
+            [(c, 1) for c in costs], engine.overlap_contention
+        )
         assert report == TimingReport(
             seconds=total,
             flops=sum(c.flops for c in costs),

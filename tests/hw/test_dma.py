@@ -1,5 +1,8 @@
 """DMA engine and the Table II bandwidth model."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +84,74 @@ class TestBandwidthModel:
         small = model.get_bandwidth(2**log_size)
         big = model.get_bandwidth(2 ** (log_size + 1) if log_size < 13 else 2**13)
         assert big >= small
+
+
+def linear_scan_bandwidth(block_bytes, direction, aligned, alignment=128, factor=0.75):
+    """The lookup before bisect and memoization: a linear interval scan."""
+    sizes = sorted(TABLE_II_DMA_BANDWIDTH)
+    column = [TABLE_II_DMA_BANDWIDTH[s][0 if direction == "get" else 1] for s in sizes]
+    exact = block_bytes in set(sizes)
+    if block_bytes <= sizes[0]:
+        value = column[0]
+    elif block_bytes >= sizes[-1]:
+        value = column[-1]
+    else:
+        hi = next(i for i, s in enumerate(sizes) if s >= block_bytes)
+        lo = hi - 1
+        if sizes[hi] == block_bytes:
+            value = column[hi]
+        else:
+            x = math.log2(block_bytes)
+            x0, x1 = math.log2(sizes[lo]), math.log2(sizes[hi])
+            t = (x - x0) / (x1 - x0)
+            value = column[lo] * (1.0 - t) + column[hi] * t
+    if not exact and not aligned and block_bytes % alignment != 0:
+        value *= factor
+    return value * GB
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestLookupOracle:
+    """Bisect + memo lookups are bitwise the linear-scan formula."""
+
+    SIZES = sorted(
+        set(TABLE_II_DMA_BANDWIDTH)  # every Table II size
+        | {1, 8, 31, 33, 96, 100, 160, 200, 300, 448, 520, 600, 768, 1000}  # interpolated
+        | {1500, 3000, 4095, 4097, 8192, 65536}  # between and past the ends
+        | {136, 257, 392, 1032, 2056}  # misaligned
+    )
+
+    @pytest.mark.parametrize("direction", ["get", "put"])
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_every_size_matches_oracle(self, direction, aligned):
+        model = DMABandwidthModel()
+        for _ in range(2):  # cold, then memoized
+            for size in self.SIZES:
+                got = model.bandwidth(size, direction, aligned=aligned)
+                assert _bits(got) == _bits(linear_scan_bandwidth(size, direction, aligned))
+
+    @given(st.integers(min_value=1, max_value=10_000), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_sizes_match_oracle(self, size, is_get, aligned):
+        direction = "get" if is_get else "put"
+        model = DMABandwidthModel()
+        assert _bits(model.bandwidth(size, direction, aligned)) == _bits(
+            linear_scan_bandwidth(size, direction, aligned)
+        )
+
+    def test_memo_keys_direction_and_alignment(self):
+        model = DMABandwidthModel()
+        assert model.get_bandwidth(300) != model.put_bandwidth(300)
+        assert model.get_bandwidth(300, aligned=False) < model.get_bandwidth(300)
+
+    def test_non_positive_block_still_rejected(self):
+        model = DMABandwidthModel()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.get_bandwidth(0)
 
 
 class TestDMAEngine:
