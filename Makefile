@@ -18,7 +18,7 @@ zoo:
 profile:
 	python -m repro profile --ni 32 --no 32 --out 16 --batch 16 \
 	    --tiles 8 --guarded --trace-out /tmp/repro-profile.json
-	python -m repro.telemetry.validate /tmp/repro-profile.json
+	python -m repro.validate trace /tmp/repro-profile.json
 
 serve:
 	python -m pytest -x -q -m serve tests/serve
@@ -27,16 +27,16 @@ serve:
 fleet:
 	python -m repro serve --chips 4 --smoke
 	python -m repro serve --chips 3 --chaos --requests 48 --smoke
-	python -m repro.serve.validate benchmarks/BENCH_fleet.json
+	python -m repro.validate fleet benchmarks/BENCH_fleet.json
 
 chaos:
 	python -m repro serve --chaos --smoke --json-out /tmp/repro-chaos.json
-	python -m repro.faults.validate /tmp/repro-chaos.json
+	python -m repro.validate chaos_serve /tmp/repro-chaos.json
 
 scale:
 	python -m pytest -x -q -m scale tests/scale
 	python -m repro train --nodes 3 --smoke --json-out /tmp/repro-scale.json
-	python -m repro.scale.validate /tmp/repro-scale.json
+	python -m repro.validate dataparallel /tmp/repro-scale.json
 
 metrics:
 	python -m repro metrics --smoke --requests 48

@@ -19,11 +19,8 @@ the chaos-serve schema the CI smoke stage validates.
 import json
 import os
 
-from repro.faults import (
-    default_chaos_serve_faults,
-    run_chaos_serve,
-    validate_chaos_serve_report,
-)
+from repro.faults import default_chaos_serve_faults, run_chaos_serve
+from repro.validate import validate
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_chaos_serve.json"
@@ -53,7 +50,7 @@ def _chaos(record):
     assert report.breaker_opened >= 1, (
         "the breaker never tripped under a ~45% per-attempt failure rate"
     )
-    violations = validate_chaos_serve_report(payload)
+    violations = validate("chaos_serve", payload)
     assert violations == [], f"schema violations: {violations}"
 
     record.update(payload)

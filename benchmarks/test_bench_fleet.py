@@ -19,7 +19,7 @@ claims:
 A diurnal section drives the autoscaler through load peaks and troughs
 and records how many chips it actually used versus the static fleet.
 
-The written record passes ``python -m repro.serve.validate`` — the same
+The written record passes ``python -m repro.validate fleet`` — the same
 gate ``scripts/verify.sh`` runs against the committed JSON.
 """
 
@@ -44,14 +44,14 @@ from repro.serve import (
 )
 from repro.serve.fleet import AutoscalerPolicy
 from repro.serve.fleet_sim import measure_service_table, simulate_fleet
-from repro.serve.validate import (
+from repro.telemetry import Telemetry, use_telemetry
+from repro.validate import (
     FLEET_SCHEMA,
     MIN_AFFINITY_HIT_RATE,
     MIN_SCALING_4CHIP,
     MAX_P99_RATIO,
-    validate_fleet_report,
+    validate,
 )
-from repro.telemetry import Telemetry, use_telemetry
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_fleet.json")
 
@@ -267,7 +267,7 @@ def _fleet(record):
     assert record["real_fleet"]["wrong_answers"] == 0
     assert record["real_fleet"]["bit_identical"] is True
     assert record["real_fleet"]["counters_balanced"] is True
-    violations = validate_fleet_report(record)
+    violations = validate("fleet", record)
     assert violations == [], f"schema violations: {violations}"
     return scaling
 

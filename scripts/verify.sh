@@ -9,20 +9,8 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:-src}"
 
-TIER1_TIMEOUT="${TIER1_TIMEOUT:-1200}"
-FAULTS_TIMEOUT="${FAULTS_TIMEOUT:-300}"
-TUNE_TIMEOUT="${TUNE_TIMEOUT:-120}"
-ZOO_TIMEOUT="${ZOO_TIMEOUT:-300}"
-PROFILE_TIMEOUT="${PROFILE_TIMEOUT:-120}"
-SERVE_TIMEOUT="${SERVE_TIMEOUT:-180}"
-FLEET_TIMEOUT="${FLEET_TIMEOUT:-180}"
-CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-180}"
-SCALE_TIMEOUT="${SCALE_TIMEOUT:-180}"
-METRICS_TIMEOUT="${METRICS_TIMEOUT:-180}"
-REGRESS_TIMEOUT="${REGRESS_TIMEOUT:-60}"
-
-echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
-timeout "${TIER1_TIMEOUT}" python -m pytest -x -q
+echo "== tier-1 suite (timeout 1200s) =="
+timeout 1200 python -m pytest -x -q
 
 echo "== small-host stage: tests/hw in a 2 GiB address space (timeout 300s) =="
 # Simulated memory limits must reject oversize tensors before the host
@@ -33,83 +21,83 @@ echo "== small-host stage: tests/hw in a 2 GiB address space (timeout 300s) =="
     timeout 300 python -m pytest -x -q tests/hw
 )
 
-echo "== seeded fault-sweep smoke test (timeout ${FAULTS_TIMEOUT}s) =="
-timeout "${FAULTS_TIMEOUT}" python -m pytest -x -q -m faults tests/faults
+echo "== seeded fault-sweep smoke test (timeout 300s) =="
+timeout 300 python -m pytest -x -q -m faults tests/faults
 
-echo "== autotuner smoke test (timeout ${TUNE_TIMEOUT}s) =="
-timeout "${TUNE_TIMEOUT}" python -m pytest -x -q -m tune tests/tune
+echo "== autotuner smoke test (timeout 120s) =="
+timeout 120 python -m pytest -x -q -m tune tests/tune
 
-echo "== conv algorithm zoo smoke test (timeout ${ZOO_TIMEOUT}s) =="
-timeout "${ZOO_TIMEOUT}" python -m pytest -x -q -m zoo tests/tune
+echo "== conv algorithm zoo smoke test (timeout 300s) =="
+timeout 300 python -m pytest -x -q -m zoo tests/tune
 
-echo "== telemetry profile smoke test (timeout ${PROFILE_TIMEOUT}s) =="
+echo "== telemetry profile smoke test (timeout 120s) =="
 PROFILE_TRACE="$(mktemp /tmp/repro-profile-XXXXXX.json)"
 CHAOS_REPORT=""
 SCALE_REPORT=""
 trap 'rm -f "${PROFILE_TRACE}" ${CHAOS_REPORT:+"${CHAOS_REPORT}"} ${SCALE_REPORT:+"${SCALE_REPORT}"}' EXIT
-timeout "${PROFILE_TIMEOUT}" python -m repro profile \
+timeout 120 python -m repro profile \
     --ni 32 --no 32 --out 16 --batch 16 --tiles 8 --guarded \
     --trace-out "${PROFILE_TRACE}"
-timeout "${PROFILE_TIMEOUT}" python -m repro.telemetry.validate "${PROFILE_TRACE}"
+timeout 120 python -m repro.validate trace "${PROFILE_TRACE}"
 
-echo "== serve suite + smoke (timeout ${SERVE_TIMEOUT}s) =="
-timeout "${SERVE_TIMEOUT}" python -m pytest -x -q -m serve tests/serve
-timeout "${SERVE_TIMEOUT}" python -m repro serve --smoke
+echo "== serve suite + smoke (timeout 180s) =="
+timeout 180 python -m pytest -x -q -m serve tests/serve
+timeout 180 python -m repro serve --smoke
 
-echo "== multi-chip fleet smoke + schema gate (timeout ${FLEET_TIMEOUT}s) =="
+echo "== multi-chip fleet smoke + schema gate (timeout 180s) =="
 # The fleet smoke routes a skewed multi-shape trace across 4 simulated
 # chips and asserts balanced per-chip counters and a zero-wrong-answer
 # parity audit; the chaos variant kills a home chip mid-run and asserts
 # route-around.  The validator then gates the committed benchmark record
 # (scaling at matched p99, affinity hit rate, bit-identity).
-timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 4 --smoke
-timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 3 --chaos \
+timeout 180 python -m repro serve --chips 4 --smoke
+timeout 180 python -m repro serve --chips 3 --chaos \
     --requests 48 --smoke
 if [ -f benchmarks/BENCH_fleet.json ]; then
-    timeout "${FLEET_TIMEOUT}" python -m repro.serve.validate \
-        benchmarks/BENCH_fleet.json
+    timeout 180 python -m repro.validate fleet benchmarks/BENCH_fleet.json
 fi
 
-echo "== chaos-serve smoke + schema gate (timeout ${CHAOS_TIMEOUT}s) =="
+echo "== chaos-serve smoke + schema gate (timeout 180s) =="
 # The smoke asserts availability under seeded dma+cpe faults and the
 # zero-wrong-answer parity audit; the validator then checks the emitted
 # report and the committed benchmark record against the same schema.
 CHAOS_REPORT="$(mktemp /tmp/repro-chaos-XXXXXX.json)"
-timeout "${CHAOS_TIMEOUT}" python -m repro serve --chaos --smoke \
+timeout 180 python -m repro serve --chaos --smoke \
     --json-out "${CHAOS_REPORT}"
-timeout "${CHAOS_TIMEOUT}" python -m repro.faults.validate "${CHAOS_REPORT}"
+timeout 180 python -m repro.validate chaos_serve "${CHAOS_REPORT}"
 if [ -f benchmarks/BENCH_chaos_serve.json ]; then
-    timeout "${CHAOS_TIMEOUT}" python -m repro.faults.validate \
+    timeout 180 python -m repro.validate chaos_serve \
         benchmarks/BENCH_chaos_serve.json
 fi
 
-echo "== data-parallel scale smoke + schema gate (timeout ${SCALE_TIMEOUT}s) =="
+echo "== data-parallel scale smoke + schema gate (timeout 180s) =="
 # The smoke trains the same global batches on 1/2/4 executed nodes and
 # asserts bitwise-identical weights; the validator then checks the
 # emitted report and the committed benchmark record against the same
 # schema (parity proof, sorted scaling curves, >=1.2x overlap at scale).
-timeout "${SCALE_TIMEOUT}" python -m pytest -x -q -m scale tests/scale
+timeout 180 python -m pytest -x -q -m scale tests/scale
 SCALE_REPORT="$(mktemp /tmp/repro-scale-XXXXXX.json)"
-timeout "${SCALE_TIMEOUT}" python -m repro train --nodes 3 --smoke \
+timeout 180 python -m repro train --nodes 3 --smoke \
     --json-out "${SCALE_REPORT}"
-timeout "${SCALE_TIMEOUT}" python -m repro.scale.validate "${SCALE_REPORT}"
+timeout 180 python -m repro.validate dataparallel "${SCALE_REPORT}"
 if [ -f benchmarks/BENCH_dataparallel.json ]; then
-    timeout "${SCALE_TIMEOUT}" python -m repro.scale.validate \
+    timeout 180 python -m repro.validate dataparallel \
         benchmarks/BENCH_dataparallel.json
 fi
 
-echo "== metrics smoke: dashboard + exposition round-trip (timeout ${METRICS_TIMEOUT}s) =="
+echo "== metrics smoke: dashboard + exposition round-trip (timeout 180s) =="
 # A seeded serve run with the metrics registry enabled: the smoke asserts
 # non-trivial latency histograms, a queue-depth time series, and that the
 # OpenMetrics exposition parses and agrees with the JSON snapshot.
-timeout "${METRICS_TIMEOUT}" python -m repro metrics --smoke \
+timeout 180 python -m repro metrics --smoke \
     --requests 48 > /dev/null
 
-echo "== bench regression gate (timeout ${REGRESS_TIMEOUT}s) =="
-# Re-derives every headline scalar from the committed BENCH_*.json ledger
+echo "== bench regression gate (timeout 60s) =="
+# Derives every headline scalar of the committed BENCH_*.json records
 # and fails with a delta table on any per-metric tolerance violation
-# (self-comparison here: the extractors and invariant metrics must hold).
-timeout "${REGRESS_TIMEOUT}" python -m repro.telemetry.regress benchmarks
+# (self-comparison here: every record must pass its spec in repro.validate
+# and every contract metric must hold).
+timeout 60 python -m repro.telemetry.regress benchmarks
 
 echo "== benchmark-correctness smoke (timeout 120s per workload) =="
 # Short sweep, serve and train runs of the benchmark; fails when any

@@ -261,7 +261,7 @@ def cmd_profile(args) -> int:
     from repro.telemetry import Telemetry, use_telemetry
     from repro.telemetry.drift import drift_report
     from repro.telemetry.oracle import oracle_report
-    from repro.telemetry.validate import validate_chrome_trace_file
+    from repro.validate import PROFILE_SCHEMA, read_record, validate
 
     params = _profile_params(args)
     telemetry = Telemetry()
@@ -290,7 +290,7 @@ def cmd_profile(args) -> int:
     print(telemetry.counters.render())
     if args.trace_out:
         telemetry.tracer.write(args.trace_out)
-        violations = validate_chrome_trace_file(args.trace_out)
+        _, violations = read_record("trace", args.trace_out)
         if violations:
             print(f"trace: INVALID ({len(violations)} violation(s))")
             for violation in violations[:5]:
@@ -301,11 +301,6 @@ def cmd_profile(args) -> int:
     if args.json_out:
         import json
 
-        from repro.telemetry.validate import (
-            PROFILE_SCHEMA,
-            validate_profile_document,
-        )
-
         document = {
             "schema": PROFILE_SCHEMA,
             "params": params.describe(),
@@ -314,7 +309,7 @@ def cmd_profile(args) -> int:
             "drift": report.as_dict(),
             "oracle": oracle.as_dict(),
         }
-        violations = validate_profile_document(document)
+        violations = validate("profile", document)
         if violations:
             print(f"profile document: INVALID ({len(violations)} violation(s))")
             for violation in violations[:5]:
@@ -600,11 +595,8 @@ def _cmd_serve_chaos(args) -> int:
     """``repro serve --chaos``: seeded fault plan against a live server."""
     import json
 
-    from repro.faults import (
-        default_chaos_serve_faults,
-        run_chaos_serve,
-        validate_chaos_serve_report,
-    )
+    from repro.faults import default_chaos_serve_faults, run_chaos_serve
+    from repro.validate import validate
 
     report = run_chaos_serve(
         fault_spec=default_chaos_serve_faults(args.seed or 0xC0FFEE),
@@ -635,7 +627,7 @@ def _cmd_serve_chaos(args) -> int:
             f"{report.flight.dropped} dropped)"
         )
     if args.smoke:
-        failures = validate_chaos_serve_report(report.as_dict())
+        failures = validate("chaos_serve", report.as_dict())
         if report.availability <= 0:
             failures.append(f"availability {report.availability} is not > 0")
         if report.availability < 0.99:
@@ -659,7 +651,7 @@ def cmd_train(args) -> int:
 
     from repro.scale.cluster import ClusterFaultSpec
     from repro.scale.report import build_dataparallel_report
-    from repro.scale.validate import validate_dataparallel_report
+    from repro.validate import validate
 
     faults = None
     if args.chaos:
@@ -725,7 +717,7 @@ def cmd_train(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
         print(f"report written to {args.json_out}")
     if args.smoke:
-        failures = validate_dataparallel_report(report)
+        failures = validate("dataparallel", report)
         if not parity["bitwise_identical"]:
             failures.append("parity proof failed")
         if failures:
@@ -765,8 +757,8 @@ def cmd_metrics(args) -> int:
         metrics_snapshot,
         parse_openmetrics,
         to_openmetrics,
-        validate_metrics_snapshot,
     )
+    from repro.validate import validate
 
     rng = np.random.default_rng(args.seed)
     scale = np.sqrt(2.0 / (args.ni * args.k * args.k))
@@ -830,7 +822,7 @@ def cmd_metrics(args) -> int:
             failures.append(f"exposition does not parse: {exc}")
         if families and "repro_serve_latency_ms" not in families:
             failures.append("exposition lacks the repro_serve_latency_ms family")
-        failures.extend(validate_metrics_snapshot(snapshot))
+        failures.extend(validate("metrics", snapshot))
         failures.extend(exposition_matches_snapshot(exposition, snapshot))
         if report.completed != report.offered:
             failures.append(

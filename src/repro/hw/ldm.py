@@ -13,6 +13,7 @@ one region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -98,11 +99,15 @@ class LDMAllocator:
         return self.capacity - self._cursor
 
     def alloc(self, name: str, shape, dtype=np.float64) -> LDMBuffer:
-        """Allocate a zeroed, named region; raises LDMOverflowError if full."""
+        """Allocate a zeroed, named region; raises LDMOverflowError if full.
+
+        The capacity is checked from ``shape`` and ``dtype`` before any
+        host memory is allocated.
+        """
         if name in self._buffers:
             raise SimulationError(f"LDM buffer {name!r} already allocated")
-        data = np.zeros(shape, dtype=dtype)
-        nbytes = int(data.nbytes)
+        dims = (shape,) if np.ndim(shape) == 0 else shape
+        nbytes = math.prod(int(d) for d in dims) * np.dtype(dtype).itemsize
         padded = _round_up(nbytes, self.ALIGN)
         if self._cursor + padded > self.capacity:
             raise LDMOverflowError(
@@ -110,6 +115,7 @@ class LDMAllocator:
                 f"free {bytes_to_human(self.bytes_free)} of "
                 f"{bytes_to_human(self.capacity)}"
             )
+        data = np.zeros(shape, dtype=dtype)
         buffer = LDMBuffer(
             name=name, offset=self._cursor, data=data, fault_plan=self.fault_plan
         )

@@ -15,10 +15,10 @@ The paper's introduction frames swDNN as the node-level substrate for
   chaos, and ``comm.*`` telemetry.  Each node's per-layer compute is
   :func:`repro.core.zoo.training_cost`, the one per-layer training-cost
   function of the package;
-* :mod:`repro.scale.report` / :mod:`repro.scale.validate` — the
-  benchmark report both the ``train`` CLI and the bench emit (executed
-  run plus weak/strong scaling and overlap curves on the same timeline),
-  and its schema gate.
+* :mod:`repro.scale.report` — the benchmark report both the ``train``
+  CLI and the bench emit (executed run plus weak/strong scaling and
+  overlap curves on the same timeline); its spec is ``dataparallel`` in
+  :mod:`repro.validate`.
 
 This is an *extension* beyond the paper's evaluation; its benches are
 labeled as such.
@@ -37,11 +37,7 @@ from repro.scale.cluster import (
     simulate_step_timeline,
     weights_bitwise_equal,
 )
-from repro.scale.report import (
-    DATAPARALLEL_SCHEMA,
-    build_dataparallel_report,
-    validate_dataparallel_report,
-)
+from repro.scale.report import build_dataparallel_report
 
 __all__ = [
     "InterconnectModel",
@@ -59,6 +55,4 @@ __all__ = [
     "simulate_step_timeline",
     "weights_bitwise_equal",
     "build_dataparallel_report",
-    "DATAPARALLEL_SCHEMA",
-    "validate_dataparallel_report",
 ]

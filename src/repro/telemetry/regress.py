@@ -5,9 +5,10 @@ speedups, serve throughput, chaos availability, overlap ratios, telemetry
 overhead.  Each file has its own shape, so "did this PR regress a number
 we already published?" had no single answer.  This module gives it one:
 
-* a **ledger**: per-file extractors that re-derive each record's headline
-  scalars (:class:`BenchMetric` — value, better-direction, and the
-  relative/absolute tolerance the metric is held to);
+* a **ledger**: each record's headline scalars (:class:`BenchMetric` —
+  value, better-direction, and the relative/absolute tolerance the metric
+  is held to), derived from the ``ledger`` of the record's spec in
+  :mod:`repro.validate`, after the record passes that spec;
 * a **comparator**: :func:`compare_ledgers` joins a baseline ledger
   against a current one and emits a :class:`RegressionReport` whose delta
   table names, for every row, the metric, baseline, current value,
@@ -26,17 +27,13 @@ wrong answers, availability) get none.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.tables import TextTable
-
-#: Directions a metric can prefer.
-HIGHER = "higher"
-LOWER = "lower"
+from repro.validate import HIGHER, LOWER, SPECS, derive, read_record
 
 
 @dataclass(frozen=True)
@@ -73,221 +70,27 @@ class BenchMetric:
         return "+".join(parts) if parts else "exact"
 
 
-def _bool_metric(name: str, flag: Any) -> BenchMetric:
-    """A contract boolean as a zero-tolerance metric (1.0 = holds)."""
-    return BenchMetric(name, 1.0 if flag else 0.0, HIGHER)
-
-
-# ---------------------------------------------------------------------------
-# Per-file extractors: payload -> headline metrics
-# ---------------------------------------------------------------------------
-
-
-def _extract_fastpath(payload: Dict[str, Any]) -> List[BenchMetric]:
-    conv = payload["conv_forward"]
-    return [
-        BenchMetric("fastpath.conv_speedup", conv["speedup"], HIGHER, rel_tol=0.25),
-        _bool_metric("fastpath.bit_identical", conv["bit_identical"]),
-    ]
-
-
-def _extract_autotune(payload: Dict[str, Any]) -> List[BenchMetric]:
-    return [
-        BenchMetric(
-            "autotune.tuned_speedup",
-            payload["heuristic_vs_tuned"]["speedup"],
-            HIGHER,
-            rel_tol=0.15,
-        ),
-        BenchMetric(
-            "autotune.fused_speedup",
-            payload["fused_vs_unfused"]["speedup"],
-            HIGHER,
-            rel_tol=0.15,
-        ),
-        BenchMetric(
-            "autotune.sharding_scaling",
-            payload["batch_sharding"]["scaling"],
-            HIGHER,
-            rel_tol=0.15,
-        ),
-        BenchMetric(
-            "autotune.warm_measured",
-            payload["plan_cache"]["warm_measured"],
-            LOWER,
-        ),
-        _bool_metric(
-            "autotune.parity", payload["parity"]["matches_reference"]
-        ),
-    ]
-
-
-def _extract_telemetry(payload: Dict[str, Any]) -> List[BenchMetric]:
-    return [
-        # The fast-path bar is 2 percentage *points* of overhead slack —
-        # absolute, because the committed baseline can be near (or below)
-        # zero where relative slack degenerates.
-        BenchMetric(
-            "telemetry.fastpath_overhead_pct",
-            payload["fast_path_forward"]["enabled_overhead_pct"],
-            LOWER,
-            abs_tol=2.0,
-        ),
-        BenchMetric(
-            "telemetry.drift_flagged",
-            payload["table3_drift"]["flagged"],
-            LOWER,
-            abs_tol=0.0,
-        ),
-    ]
-
-
-def _extract_serve(payload: Dict[str, Any]) -> List[BenchMetric]:
-    throughput = payload["throughput"]
-    return [
-        BenchMetric(
-            "serve.batched_speedup",
-            payload["summary"]["batched_vs_sequential_speedup"],
-            HIGHER,
-            rel_tol=0.30,
-        ),
-        BenchMetric(
-            "serve.p99_ms",
-            throughput["batched"]["latency"]["p99_ms"],
-            LOWER,
-            rel_tol=0.50,
-        ),
-        _bool_metric(
-            "serve.bit_identical", throughput["bit_identical_outputs"]
-        ),
-        BenchMetric(
-            "serve.steady_state_tuner_measurements",
-            payload["warm_cache"]["steady_state_tuner_measurements"],
-            LOWER,
-        ),
-        BenchMetric(
-            "serve.filter_pack_speedup",
-            payload["filter_pack"]["speedup"],
-            HIGHER,
-            rel_tol=0.30,
-        ),
-    ]
-
-
-def _extract_chaos_serve(payload: Dict[str, Any]) -> List[BenchMetric]:
-    return [
-        BenchMetric(
-            "chaos_serve.availability",
-            payload["availability"],
-            HIGHER,
-            abs_tol=0.01,
-        ),
-        BenchMetric("chaos_serve.wrong_answers", payload["wrong_answers"], LOWER),
-        _bool_metric(
-            "chaos_serve.counters_balanced", payload["counters_balanced"]
-        ),
-        BenchMetric(
-            "chaos_serve.breaker_cycles",
-            min(
-                payload["breaker_opened"],
-                payload["breaker_half_opened"],
-                payload["breaker_closed"],
-            ),
-            HIGHER,
-        ),
-    ]
-
-
-def _extract_fleet(payload: Dict[str, Any]) -> List[BenchMetric]:
-    real = payload["real_fleet"]
-    return [
-        BenchMetric(
-            "fleet.scaling_4chip", payload["scaling_4chip"], HIGHER, rel_tol=0.10
-        ),
-        BenchMetric(
-            "fleet.p99_ratio_4v1", payload["p99_ratio_4v1"], LOWER, rel_tol=0.25
-        ),
-        BenchMetric(
-            "fleet.affinity_hit_rate",
-            payload["affinity_hit_rate"],
-            HIGHER,
-            abs_tol=0.02,
-        ),
-        BenchMetric("fleet.wrong_answers", real["wrong_answers"], LOWER),
-        _bool_metric("fleet.bit_identical", real["bit_identical"]),
-        _bool_metric("fleet.counters_balanced", real["counters_balanced"]),
-    ]
-
-
-def _extract_algos(payload: Dict[str, Any]) -> List[BenchMetric]:
-    best = max(row["speedup_vs_direct"] for row in payload["rows"])
-    return [
-        BenchMetric("algos.non_direct_winners", payload["non_direct_winners"], HIGHER),
-        BenchMetric("algos.best_speedup_vs_direct", best, HIGHER, rel_tol=0.15),
-        BenchMetric("algos.oracle_flagged", payload["oracle"]["flagged"], LOWER),
-    ]
-
-
-def _extract_dataparallel(payload: Dict[str, Any]) -> List[BenchMetric]:
-    weak = payload["weak_scaling"]
-    ablation = payload["overlap_ablation"]
-    return [
-        _bool_metric(
-            "dataparallel.parity", payload["parity"]["bitwise_identical"]
-        ),
-        BenchMetric(
-            "dataparallel.weak_efficiency_at_scale",
-            weak[-1]["efficiency"],
-            HIGHER,
-            abs_tol=0.02,
-        ),
-        BenchMetric(
-            "dataparallel.overlap_speedup",
-            max(row["speedup"] for row in ablation),
-            HIGHER,
-            rel_tol=0.15,
-        ),
-    ]
-
-
-#: File name -> extractor.  Files absent from a directory are skipped
-#: (a ledger covers whatever benchmarks exist at that revision).
-EXTRACTORS: Dict[str, Callable[[Dict[str, Any]], List[BenchMetric]]] = {
-    "BENCH_fastpath.json": _extract_fastpath,
-    "BENCH_autotune.json": _extract_autotune,
-    "BENCH_telemetry.json": _extract_telemetry,
-    "BENCH_serve.json": _extract_serve,
-    "BENCH_chaos_serve.json": _extract_chaos_serve,
-    "BENCH_fleet.json": _extract_fleet,
-    "BENCH_algos.json": _extract_algos,
-    "BENCH_dataparallel.json": _extract_dataparallel,
-}
-
-
 def load_ledger(directory: str) -> Dict[str, BenchMetric]:
-    """Re-derive every headline metric from the ``BENCH_*.json`` files.
+    """Derive every ledger metric of the ``BENCH_*.json`` files present.
 
-    Raises :class:`ValueError` when a present file is unreadable or is
-    missing a key its extractor needs — a malformed committed benchmark
-    should fail the gate, not silently shrink the ledger.
+    Each record's metrics are the ``ledger`` of its :mod:`repro.validate`
+    spec.  Raises :class:`ValueError` naming the violations when a present
+    file is unreadable or breaks its spec — a malformed committed
+    benchmark should fail the gate, not silently shrink the ledger.
     """
     ledger: Dict[str, BenchMetric] = {}
-    for filename, extract in sorted(EXTRACTORS.items()):
-        path = os.path.join(directory, filename)
-        if not os.path.exists(path):
+    for kind, spec in sorted(SPECS.items()):
+        path = os.path.join(directory, f"BENCH_{kind}.json")
+        if not spec.ledger or not os.path.exists(path):
             continue
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            metrics = extract(payload)
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
-            raise ValueError(
-                f"{path}: cannot derive headline metrics "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        for metric in metrics:
-            if metric.name in ledger:
-                raise ValueError(f"duplicate ledger metric {metric.name!r}")
+        payload, violations = read_record(kind, path)
+        if violations:
+            raise ValueError(f"{path}: " + "; ".join(violations))
+        for name, derivation, direction, rel_tol, abs_tol in spec.ledger:
+            metric = BenchMetric(
+                f"{kind}.{name}", derive(payload, derivation), direction,
+                rel_tol, abs_tol,
+            )
             ledger[metric.name] = metric
     return ledger
 
@@ -420,8 +223,8 @@ def compare_directories(
     """Load both ledgers and compare (current defaults to the baseline).
 
     The default self-comparison is the CI invariant: the committed
-    baselines must pass their own gate (every extractor runs, every
-    contract metric holds its zero-tolerance value).
+    baselines must pass their own gate (every record passes its spec,
+    every contract metric holds its zero-tolerance value).
     """
     current_dir = current_dir if current_dir is not None else baseline_dir
     return compare_ledgers(

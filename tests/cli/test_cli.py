@@ -86,12 +86,12 @@ class TestProfile:
         assert "4 tile interval(s) traced" in out
 
     def test_trace_out_is_valid_chrome_json(self, capsys, tmp_path):
-        from repro.telemetry.validate import validate_chrome_trace_file
+        from repro.validate import read_record
 
         trace = str(tmp_path / "profile.json")
         assert main(self.ARGS + ["--trace-out", trace]) == 0
         assert "valid chrome://tracing JSON" in capsys.readouterr().out
-        assert validate_chrome_trace_file(trace) == []
+        assert read_record("trace", trace)[1] == []
 
     def test_table3_row_selects_paper_config(self, capsys):
         assert main(["profile", "--row", "1", "--tiles", "2"]) == 0

@@ -22,6 +22,16 @@ class TestAllocation:
         with pytest.raises(LDMOverflowError):
             ldm.alloc("big", (64 * 1024 // 8 + 1,))
 
+    @pytest.mark.parametrize("shape", [(1 << 28,), (1 << 14, 1 << 14)])
+    def test_oversize_alloc_rejected_before_host_allocation(self, shape):
+        # 2 GiB of float64: allocating it before the capacity check raises
+        # a host MemoryError in a capped address space (verify.sh runs
+        # tests/hw under a 2 GiB ulimit) instead of LDMOverflowError.
+        ldm = LDM()
+        with pytest.raises(LDMOverflowError, match="LDM overflow"):
+            ldm.alloc("huge", shape)
+        assert ldm.bytes_used == 0 and "huge" not in ldm
+
     def test_exact_fit_accepted(self):
         ldm = LDM()
         ldm.alloc("exact", (64 * 1024 // 8,))

@@ -19,10 +19,7 @@ from repro.scale.report import (
     strong_scaling_rows,
     weak_scaling_rows,
 )
-from repro.scale.validate import (
-    MIN_OVERLAP_SPEEDUP,
-    validate_dataparallel_report,
-)
+from repro.validate import MIN_OVERLAP_SPEEDUP, validate
 
 pytestmark = pytest.mark.scale
 
@@ -34,7 +31,7 @@ def report():
 
 class TestReport:
     def test_validates_clean(self, report):
-        assert validate_dataparallel_report(report) == []
+        assert validate("dataparallel", report) == []
 
     def test_json_serializable(self, report):
         json.dumps(report)
@@ -136,36 +133,38 @@ class TestValidator:
     def test_missing_key_flagged(self, report):
         broken = copy.deepcopy(report)
         del broken["parity"]
-        assert any("parity" in v for v in validate_dataparallel_report(broken))
+        assert any("parity" in v for v in validate("dataparallel", broken))
 
     def test_wrong_type_flagged(self, report):
         broken = self._broken(report, topology=7)
-        assert any("topology" in v for v in validate_dataparallel_report(broken))
+        assert any("topology" in v for v in validate("dataparallel", broken))
 
     def test_broken_parity_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["parity"]["bitwise_identical"] = False
         assert any(
-            "bitwise_identical" in v for v in validate_dataparallel_report(broken)
+            "bitwise_identical" in v for v in validate("dataparallel", broken)
         )
 
     def test_slow_overlap_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["overlap_ablation"][0]["speedup"] = 1.05
-        assert any("1.2x bar" in v for v in validate_dataparallel_report(broken))
+        assert any("1.2x bar" in v for v in validate("dataparallel", broken))
 
     def test_unsorted_curve_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["weak_scaling"].reverse()
-        assert any("sorted" in v for v in validate_dataparallel_report(broken))
+        assert any("sorted" in v for v in validate("dataparallel", broken))
 
     def test_missing_traffic_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["comm_counters"]["comm.link_bytes"] = 0
-        assert any("link_bytes" in v for v in validate_dataparallel_report(broken))
+        assert any("link_bytes" in v for v in validate("dataparallel", broken))
 
     def test_non_object_rejected(self):
-        assert validate_dataparallel_report([]) == ["report is not a JSON object"]
+        assert validate("dataparallel", []) == [
+            "top level must be a JSON object, got list"
+        ]
 
 
 class TestParityCheck:

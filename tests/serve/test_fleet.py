@@ -41,7 +41,7 @@ from repro.serve import (
     synthetic_images,
 )
 from repro.serve.fleet import ROUTE_AFFINITY, ROUTE_COLD, ROUTE_FAILOVER, ROUTE_SPILL
-from repro.serve.validate import validate_fleet_report
+from repro.validate import validate
 from repro.telemetry import Telemetry, use_telemetry
 
 pytestmark = pytest.mark.serve
@@ -483,7 +483,7 @@ class TestFleetReportSchema:
         }
 
     def test_valid_payload_passes(self):
-        assert validate_fleet_report(self._payload()) == []
+        assert validate("fleet", self._payload()) == []
 
     @pytest.mark.parametrize(
         "mutate, needle",
@@ -500,7 +500,7 @@ class TestFleetReportSchema:
     def test_each_bar_is_enforced(self, mutate, needle):
         payload = self._payload()
         mutate(payload)
-        violations = validate_fleet_report(payload)
+        violations = validate("fleet", payload)
         assert violations
         assert any(needle in v for v in violations)
 

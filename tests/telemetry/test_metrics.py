@@ -15,7 +15,6 @@ from repro.telemetry import (
     metrics_snapshot,
     parse_openmetrics,
     to_openmetrics,
-    validate_metrics_snapshot,
 )
 from repro.telemetry.counters import Counters
 from repro.telemetry.metrics import (
@@ -27,6 +26,7 @@ from repro.telemetry.metrics import (
     metric_name,
     render_strip,
 )
+from repro.validate import validate
 
 
 class TestBuckets:
@@ -263,17 +263,17 @@ class TestSnapshot:
     def test_snapshot_validates_and_matches_exposition(self):
         m, c = _populated()
         snap = metrics_snapshot(m, c)
-        assert validate_metrics_snapshot(snap) == []
+        assert validate("metrics", snap) == []
         # JSON round-trip must survive the validator too (tuples -> lists).
         snap = json.loads(json.dumps(snap))
-        assert validate_metrics_snapshot(snap) == []
+        assert validate("metrics", snap) == []
         assert exposition_matches_snapshot(to_openmetrics(m, c), snap) == []
 
     def test_schema_tag_required(self):
         m, _ = _populated()
         snap = metrics_snapshot(m)
         snap["schema"] = "bogus"
-        assert any("schema" in e for e in validate_metrics_snapshot(snap))
+        assert any("schema" in e for e in validate("metrics", snap))
 
     def test_bucket_sum_mismatch_flagged(self):
         m, _ = _populated()
@@ -281,14 +281,14 @@ class TestSnapshot:
         hist = snap["histograms"]["serve.latency_ms"]
         first = next(iter(hist["buckets"]))
         hist["buckets"][first] += 1
-        assert any("bucket" in e for e in validate_metrics_snapshot(snap))
+        assert any("bucket" in e for e in validate("metrics", snap))
 
     def test_time_travel_flagged(self):
         m, _ = _populated()
         snap = json.loads(json.dumps(metrics_snapshot(m)))
         points = snap["series"]["serve.queue_depth"]["points"]
         points[1][0] = points[0][0] - 1.0
-        assert any("back in time" in e for e in validate_metrics_snapshot(snap))
+        assert any("back in time" in e for e in validate("metrics", snap))
 
     def test_exposition_mismatch_named(self):
         m, c = _populated()

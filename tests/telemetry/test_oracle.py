@@ -9,9 +9,9 @@ from repro.hw.spec import DEFAULT_SPEC
 from repro.telemetry import (
     demmel_dinh_bound_bytes,
     oracle_report,
-    validate_oracle_report,
 )
 from repro.telemetry.oracle import OracleRow
+from repro.validate import validate
 
 SMALL = ConvParams.from_output(ni=32, no=32, ro=16, co=16, kr=3, kc=3, b=16)
 FIVE = ConvParams.from_output(ni=16, no=16, ro=12, co=12, kr=5, kc=5, b=8)
@@ -97,7 +97,7 @@ class TestOracleReport:
             assert algo in text
 
     def test_as_dict_validates(self, report):
-        assert validate_oracle_report(report.as_dict()) == []
+        assert validate("oracle", report.as_dict()) == []
 
     def test_restricted_algorithms(self):
         report = oracle_report([SMALL], algorithms=("direct", "winograd"))
@@ -113,30 +113,30 @@ class TestValidation:
         return oracle_report([SMALL]).as_dict()
 
     def test_not_a_dict(self):
-        assert validate_oracle_report([]) != []
+        assert validate("oracle", []) != []
 
     def test_empty_rows(self):
         data = self._valid()
         data["rows"] = []
-        assert any("rows" in e for e in validate_oracle_report(data))
+        assert any("rows" in e for e in validate("oracle", data))
 
     def test_unknown_algorithm(self):
         data = self._valid()
         data["rows"][0]["algorithm"] = "fft"
-        assert any("fft" in e for e in validate_oracle_report(data))
+        assert any("fft" in e for e in validate("oracle", data))
 
     def test_attainment_consistency(self):
         data = self._valid()
         data["rows"][0]["attainment"] = 0.123456
-        assert any("attainment" in e for e in validate_oracle_report(data))
+        assert any("attainment" in e for e in validate("oracle", data))
 
     def test_missing_direct_baseline(self):
         data = self._valid()
         data["rows"] = [r for r in data["rows"] if r["algorithm"] != "direct"]
         data["flagged"] = sum(1 for r in data["rows"] if r["flagged"])
-        assert any("direct baseline" in e for e in validate_oracle_report(data))
+        assert any("direct baseline" in e for e in validate("oracle", data))
 
     def test_flagged_count_consistency(self):
         data = self._valid()
         data["flagged"] = 99
-        assert any("flagged count" in e for e in validate_oracle_report(data))
+        assert any("flagged is 99" in e for e in validate("oracle", data))

@@ -77,7 +77,7 @@ class TestCompareMetric:
 class TestLedger:
     def test_committed_benchmarks_yield_nonempty_ledger(self):
         ledger = load_ledger(str(BENCH_DIR))
-        # Every committed BENCH_*.json with an extractor must contribute.
+        # Every committed BENCH_*.json with a ledger spec must contribute.
         assert len(ledger) >= 10
         assert "chaos_serve.availability" in ledger
         assert "telemetry.fastpath_overhead_pct" in ledger
@@ -86,8 +86,34 @@ class TestLedger:
         assert load_ledger(str(tmp_path / "nope")) == {}
 
     def test_malformed_record_fails_loudly(self, bench_copy):
-        _edit(bench_copy, "BENCH_chaos_serve.json", lambda p: p.pop("availability"))
-        with pytest.raises(ValueError, match="BENCH_chaos_serve.json"):
+        # One ledger key per record: the error names the file and the key.
+        cases = [
+            ("BENCH_chaos_serve.json", ("availability",)),
+            ("BENCH_fastpath.json", ("conv_forward", "speedup")),
+            ("BENCH_autotune.json", ("plan_cache", "warm_measured")),
+            ("BENCH_telemetry.json", ("table3_drift", "flagged")),
+            ("BENCH_serve.json", ("filter_pack", "speedup")),
+            ("BENCH_fleet.json", ("real_fleet", "wrong_answers")),
+            ("BENCH_algos.json", ("non_direct_winners",)),
+            ("BENCH_dataparallel.json", ("parity", "bitwise_identical")),
+        ]
+        for filename, path in cases:
+            def drop(payload):
+                for step in path[:-1]:
+                    payload = payload[step]
+                del payload[path[-1]]
+
+            _edit(bench_copy, filename, drop)
+            with pytest.raises(ValueError, match=filename) as info:
+                load_ledger(str(bench_copy))
+            assert path[-1] in str(info.value)
+            shutil.copy(BENCH_DIR / filename, bench_copy / filename)
+
+    def test_spec_violation_fails_with_named_violation(self, bench_copy):
+        # A NaN bar is a spec violation, not a ledger value.
+        _edit(bench_copy, "BENCH_fleet.json",
+              lambda p: p.__setitem__("scaling_4chip", float("nan")))
+        with pytest.raises(ValueError, match="scaling_4chip: must be a number"):
             load_ledger(str(bench_copy))
 
 
