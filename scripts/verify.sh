@@ -21,6 +21,12 @@ echo "== small-host stage: tests/hw in a 2 GiB address space (timeout 300s) =="
     timeout 300 python -m pytest -x -q tests/hw
 )
 
+echo "== kernel closed-form certification grid (timeout 120s) =="
+# kernel_cycles against the cycle-accurate simulator on every register
+# block a plan can use at 1..11, 17, 36, 72, 144, 288 and 1200 iterations
+# (deselected from the tier-1 run by pyproject's addopts).
+timeout 120 python -m pytest -x -q -m kernel tests/isa
+
 echo "== seeded fault-sweep smoke test (timeout 300s) =="
 timeout 300 python -m pytest -x -q -m faults tests/faults
 

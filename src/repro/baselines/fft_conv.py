@@ -28,7 +28,7 @@ from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.perf.dma_model import DMAStream, blended_mbw
 from repro.core.conv import TimingReport
 from repro.core.params import ConvParams
-from repro.perf.model import _measured_ee
+from repro.perf.model import kernel_ee
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class FFTConvolution:
         # Pointwise complex products: 4 real multiply-adds per element.
         spec_elems = params.ri * (params.ci // 2 + 1)
         pointwise_flops = 8 * params.b * params.no * params.ni * spec_elems
-        ee = _measured_ee(max(1, -(-params.ni // 8)))
+        ee = kernel_ee(params.ni)
         compute_seconds = pointwise_flops / (self.spec.peak_flops_per_cg * ee)
         seconds = max(dma_seconds, compute_seconds)
         return TimingReport(

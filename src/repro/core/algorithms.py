@@ -69,7 +69,7 @@ from repro.hw.dma import DMABandwidthModel
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY, DMAStream, blended_mbw
 from repro.perf.equations import DS, rbw_ldm_reg_gemm_simd
-from repro.perf.model import PerformanceEstimate, _measured_ee
+from repro.perf.model import PerformanceEstimate, kernel_ee
 from repro.telemetry import current_telemetry
 
 #: The algorithm families the zoo knows, in canonical order.  "direct" is
@@ -341,7 +341,7 @@ class LoweredConvPlan:
         more) machine flops for the same layer folds the ratio into its
         efficiency — the score stays comparable across families.
         """
-        ee = _measured_ee(max(1, -(-self.gemm_params.k // 8)))
+        ee = kernel_ee(self.gemm_params.k)
         machine = self.machine_flops()
         return ee * (self.params.flops() / machine)
 
@@ -721,7 +721,7 @@ class WinogradEngine(LoweredConvEngine):
         block_a = min(blk.b_k, _BLOCK_CLAMP) * DS
         block_bc = min(blk.b_n, _BLOCK_CLAMP) * DS
         flops = 16 * 2 * m_len * n_len * k_len
-        ee = _measured_ee(max(1, -(-k_len // 8)))
+        ee = kernel_ee(k_len)
         comp = WINOGRAD_TRANSFORM_OVERHEAD * self.spec.cycles_to_seconds(
             flops / (self.spec.cpes_per_group * self.spec.flops_per_cycle) / ee
         )

@@ -30,7 +30,7 @@ from repro.hw.dma import DMABandwidthModel
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.telemetry import current_telemetry
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
-from repro.perf.model import _measured_ee
+from repro.perf.model import kernel_ee
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan, TileStep
 from repro.core.reference import conv2d_reference
@@ -521,12 +521,13 @@ class ConvolutionEngine:
     def _compute_seconds(self, flops: int) -> float:
         """Time for the CPE cluster to execute ``flops`` through the kernel.
 
-        Per-CPE vector FMAs divided by the reordered kernel's simulated
-        FMA-per-cycle rate — the execution efficiency for Ni/8 iterations of
-        the plan's *register blocking* shape (``rbB/4`` input vectors x
-        ``rbNo`` splat vectors).  The paper's (16, 4) blocking reproduces
-        the Section VI-B numbers; the autotuner may select other shapes,
-        whose pipeline efficiency is simulated the same way.
+        Per-CPE vector FMAs divided by the reordered kernel's FMA-per-cycle
+        rate — :func:`~repro.perf.model.kernel_ee` over a ``bNi``-deep
+        reduction on the plan's *register blocking* shape (``rbB/4`` input
+        vectors x ``rbNo`` splat vectors), the same EE
+        :meth:`ConvPlan.estimate` models.  The paper's (16, 4) blocking
+        reproduces the Section VI-B numbers; the autotuner may select other
+        shapes, whose cycles come from the same closed form.
         """
         if flops == 0:
             return 0.0
@@ -534,9 +535,8 @@ class ConvolutionEngine:
         blocking = getattr(self.plan, "blocking", None)
         if blocking is not None and hasattr(blocking, "ni_block"):
             ni = blocking.ni_block(ni)
-        iterations = max(1, -(-ni // 8))
         rb = self.plan.register_blocking
-        ee = _measured_ee(iterations, rb.rb_b // 4, rb.rb_no)
+        ee = kernel_ee(ni, rb.rb_b // 4, rb.rb_no)
         # Fenced CPEs shrink the cluster: the surviving submesh carries the
         # whole layer's flops.
         vfmas_per_cpe = flops / (

@@ -28,7 +28,7 @@ from repro.hw.ldm import LDMAllocator
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.perf.dma_model import DMAStream, blended_mbw
 from repro.perf.equations import DS, rbw_ldm_reg_gemm_simd
-from repro.perf.model import PerformanceEstimate, _measured_ee
+from repro.perf.model import PerformanceEstimate, kernel_ee
 from repro.core.conv import (
     BACKENDS,
     OVERLAP_CONTENTION,
@@ -225,7 +225,7 @@ class GemmPlan:
         return PerformanceEstimate(
             plan=self.name,
             peak_flops=self.spec.peak_flops_per_cg,
-            execution_efficiency=_measured_ee(max(1, -(-self.params.k // 8))),
+            execution_efficiency=kernel_ee(self.params.k),
             rbw_mem=self.rbw_mem(),
             mbw_mem=blended_mbw(self.dma_streams()),
             rbw_reg=rbw_ldm_reg_gemm_simd(
@@ -298,7 +298,7 @@ class GemmEngine:
             return nbytes / (bw * self.stride_efficiency)
 
         flops = 2 * m_len * n_len * k_len
-        ee = _measured_ee(max(1, -(-k_len // 8)))
+        ee = kernel_ee(k_len)
         comp = self.spec.cycles_to_seconds(
             flops / (self.spec.cpes_per_group * self.spec.flops_per_cycle) / ee
         )

@@ -249,21 +249,26 @@ class ConvPlan(abc.ABC):
         return int(sum(s.bytes_moved for s in self.dma_streams()))
 
     def estimate(self, model: Optional[PerformanceModel] = None) -> PerformanceEstimate:
-        """Model this plan with the three-level estimator of Fig. 2."""
+        """Model this plan with the three-level estimator of Fig. 2.
+
+        EE is the kernel the engine charges: the plan's register block over
+        one ``bNi``-deep reduction.
+        """
         from repro.perf.dma_model import blended_mbw
         from repro.perf.equations import rbw_ldm_reg_gemm_simd
 
         model = model or PerformanceModel(self.spec)
+        rb = self.register_blocking
         return PerformanceEstimate(
             plan=self.name,
             peak_flops=self.spec.peak_flops_per_cg,
-            execution_efficiency=model._ee(self.params.ni),
+            execution_efficiency=model._ee(
+                self.blocking.ni_block(self.params.ni), rb.rb_b, rb.rb_no
+            ),
             rbw_mem=self.rbw_mem(),
             mbw_mem=blended_mbw(self.dma_streams()),
             rbw_reg=rbw_ldm_reg_gemm_simd(
-                self.register_blocking.rb_b,
-                self.register_blocking.rb_no,
-                peak_flops=self.spec.peak_flops_per_cpe,
+                rb.rb_b, rb.rb_no, peak_flops=self.spec.peak_flops_per_cpe
             ),
             mbw_reg=self.spec.ldm_bandwidth,
         )

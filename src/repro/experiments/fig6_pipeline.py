@@ -24,8 +24,6 @@ from repro.isa.kernels import (
     gemm_kernel_original,
     gemm_kernel_reordered,
     paper_execution_efficiency,
-    predicted_cycles_original,
-    predicted_cycles_reordered,
 )
 from repro.isa.pipeline import DualPipelineSimulator
 

@@ -20,7 +20,8 @@ This package provides:
   (dependence analysis, intra-loop reordering, inter-loop software
   pipelining);
 * :mod:`repro.isa.kernels` — the GEMM inner-kernel generator, in both the
-  original (compiler-order) and reordered forms of Fig. 6.
+  original (compiler-order) and reordered forms of Fig. 6, and
+  ``kernel_cycles``, the reordered kernel's simulated cycles in closed form.
 """
 
 from repro.isa.instructions import (
@@ -41,7 +42,7 @@ from repro.isa.kernels import (
     GemmKernelSpec,
     gemm_kernel_original,
     gemm_kernel_reordered,
-    kernel_execution_efficiency,
+    kernel_cycles,
     paper_execution_efficiency,
 )
 from repro.isa.assembler import assemble, disassemble, AssemblyError
@@ -66,7 +67,7 @@ __all__ = [
     "GemmKernelSpec",
     "gemm_kernel_original",
     "gemm_kernel_reordered",
-    "kernel_execution_efficiency",
+    "kernel_cycles",
     "paper_execution_efficiency",
     "assemble",
     "disassemble",

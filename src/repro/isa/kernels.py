@@ -24,14 +24,19 @@ the loop branch unpaired — 17 cycles; the exit section (last iteration, no
 next loads, no branch) takes 16.  Total for K = Ni/8 iterations:
 
     5 + (K - 1) * 17 + 16   cycles,  EE = 16K / that.
+
+:func:`kernel_cycles` gives the simulated cycle count of the reordered
+kernel in closed form for any iteration count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.isa.instructions import Instruction
+from repro.isa.pipeline import DualPipelineSimulator
 from repro.isa.program import Program
 
 
@@ -179,11 +184,51 @@ def predicted_cycles_original(spec: GemmKernelSpec) -> int:
 
 
 def predicted_cycles_reordered(spec: GemmKernelSpec) -> int:
-    """Closed form of Section VI-B: 5 + (K-1)*17 + 16 for the 4x4 block."""
+    """Closed form of Section VI-B: 5 + (K-1)*17 + 16 for the 4x4 block.
+
+    Exact for ``4 x N`` blocks (``N >= 2``) only; other blocks stall on load
+    latency or spill loads past their FMAs, so they raise ``ValueError``
+    (:func:`kernel_cycles` times the others).
+    """
+    if spec.num_a != 4 or spec.num_b < 2:
+        raise ValueError(
+            f"the Section VI-B form covers 4 x N blocks (N >= 2), not "
+            f"{spec.num_a} x {spec.num_b}; use kernel_cycles"
+        )
     prologue = 1 + spec.num_a
     steady = spec.fma_per_iteration + 1  # FMAs + the unpaired branch
     exit_section = spec.fma_per_iteration
     return prologue + (spec.iterations - 1) * steady + exit_section
+
+
+@lru_cache(maxsize=None)
+def _first_iterations_cycles(num_a: int, num_b: int) -> Tuple[int, int, int]:
+    """Simulated cycles of the reordered kernel at 1, 2 and 3 iterations."""
+    sim = DualPipelineSimulator()
+    return tuple(
+        sim.simulate(gemm_kernel_reordered(GemmKernelSpec(k, num_a, num_b))).total_cycles
+        for k in (1, 2, 3)
+    )
+
+
+def kernel_cycles(spec: GemmKernelSpec) -> int:
+    """Cycles of the reordered kernel on the dual pipelines, in closed form.
+
+    From the second iteration on, each steady iteration issues the pattern
+    of the one before it shifted by a fixed period, so the count is affine:
+    ``c2 + (K - 2) * (c3 - c2)``, with ``c1..c3`` simulated once per block
+    (thin blocks, ``num_b == 1`` and ``num_a >= 5``, take one more cycle in
+    the first iteration).  ``tests/isa/test_kernels.py`` certifies it
+    against :class:`~repro.isa.pipeline.DualPipelineSimulator` on every
+    block up to 8 x 8 and every block register blocking admits
+    (``enumerate_gemm_blockings``, up to 12 x 1 and 1 x 12); the blocks a
+    plan can use are checked up to 1,200 iterations (marker ``kernel``).
+    Other blocks are not certified.
+    """
+    c1, c2, c3 = _first_iterations_cycles(spec.num_a, spec.num_b)
+    if spec.iterations == 1:
+        return c1
+    return c2 + (spec.iterations - 2) * (c3 - c2)
 
 
 def paper_execution_efficiency(ni: int) -> float:
@@ -193,15 +238,3 @@ def paper_execution_efficiency(ni: int) -> float:
     k = ni // 8
     return (k * 16) / (5 + (k - 1) * 17 + 16)
 
-
-def kernel_execution_efficiency(spec: GemmKernelSpec) -> float:
-    """Measured EE: simulate the reordered kernel on the dual pipelines.
-
-    Reports are memoized on the program signature (see
-    :func:`repro.isa.pipeline.simulate_cached`), complementing the
-    per-(iterations, block) cache in :mod:`repro.perf.model`.
-    """
-    from repro.isa.pipeline import simulate_cached
-
-    report = simulate_cached(gemm_kernel_reordered(spec))
-    return report.fma_efficiency

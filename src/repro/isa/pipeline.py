@@ -26,7 +26,7 @@ throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction, PipelineClass
@@ -94,37 +94,6 @@ class PipelineReport:
                 f"{cycle:5d} | {slot.get('P0', '-'):32s} | {slot.get('P1', '-')}"
             )
         return "\n".join(lines)
-
-
-#: Memoized pipeline reports keyed by :meth:`Program.signature`.  Kernel
-#: timing questions repeat (every plan with the same Ni asks about the same
-#: reordered GEMM program), so one simulation serves them all.
-_REPORT_CACHE: Dict[tuple, PipelineReport] = {}
-
-_REPORT_CACHE_MAX = 512
-
-
-def simulate_cached(program: Program) -> PipelineReport:
-    """Simulate a program, memoized on its instruction-stream signature.
-
-    Returns the cached :class:`PipelineReport` for a previously seen
-    signature without re-running the cycle-accurate issue loop.  The report
-    is shared — callers must treat it (including ``records``) as read-only;
-    use :meth:`DualPipelineSimulator.simulate` directly for a private copy.
-    """
-    key = program.signature()
-    report = _REPORT_CACHE.get(key)
-    if report is None:
-        report = DualPipelineSimulator().simulate(program)
-        if len(_REPORT_CACHE) >= _REPORT_CACHE_MAX:
-            _REPORT_CACHE.clear()
-        _REPORT_CACHE[key] = report
-    return report
-
-
-def clear_report_cache() -> None:
-    """Drop every memoized pipeline report."""
-    _REPORT_CACHE.clear()
 
 
 class DualPipelineSimulator:

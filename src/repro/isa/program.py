@@ -55,16 +55,6 @@ class Program:
         """Total double-precision flops the program performs."""
         return sum(i.spec.flops for i in self.instructions)
 
-    def signature(self) -> Tuple["Instruction", ...]:
-        """Hashable identity of the instruction stream.
-
-        Instructions are frozen dataclasses, so the tuple of them keys any
-        per-program memoization (two programs with equal signatures behave
-        identically on the pipeline simulator and the interpreter).  The
-        program ``name`` is presentation only and deliberately excluded.
-        """
-        return tuple(self.instructions)
-
     def count_op(self, op: str) -> int:
         return sum(1 for i in self.instructions if i.op == op)
 

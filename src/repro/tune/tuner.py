@@ -37,15 +37,7 @@ from repro.core.layout import batch_plan_block_bytes, image_plan_block_bytes
 from repro.core.register_blocking import RegisterBlocking
 from repro.core.serialize import params_from_dict, params_to_dict, plan_from_dict, plan_to_dict
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
-from repro.perf.dma_model import DMAStream, blended_mbw
-from repro.perf.equations import (
-    rbw_ldm_reg_gemm_simd,
-    rbw_mem_ldm_batch_plan,
-    rbw_mem_ldm_batch_plan_promoted,
-    rbw_mem_ldm_image_plan,
-    rbw_mem_ldm_image_plan_promoted,
-)
-from repro.perf.model import PerformanceEstimate, _measured_ee
+from repro.perf.model import PerformanceEstimate, PerformanceModel
 from repro.telemetry import current_telemetry
 from repro.tune.cache import PlanCache
 from repro.tune.space import Candidate, enumerate_candidates
@@ -72,11 +64,11 @@ def score_candidate(
 ) -> PerformanceEstimate:
     """Closed-form three-level estimate of a candidate (the pruning oracle).
 
-    Mirrors :meth:`~repro.core.plans.ConvPlan.estimate` without building a
-    plan or compiling a schedule: RBW_mem comes from the family's Eq. 1/2
-    variant (promotion-aware), MBW_mem from a single-stream Table II read at
-    the family's leading-dimension block size, and EE from the simulated
-    dual-pipeline kernel at the candidate's register shape and ``bNi``.
+    Direct candidates are priced by :class:`~repro.perf.model.PerformanceModel`
+    without building a plan or compiling a schedule: the family's Eq. 1/2
+    variant (promotion-aware), a single-stream Table II read at the
+    family's leading-dimension block size, and the kernel EE at the
+    candidate's register shape and ``bNi``.
 
     Lowered candidates (im2col, Winograd) are scored by their plan's own
     GEMM-roofline estimate — building a lowered plan is O(1), no schedule
@@ -88,46 +80,23 @@ def score_candidate(
     p = params
     blk = candidate.blocking
     rb = candidate.register_blocking
-    ni_block = blk.ni_block(p.ni)
-    iterations = max(1, -(-ni_block // 8))
-    ee = _measured_ee(iterations, rb.rb_b // 4, rb.rb_no)
+    model = PerformanceModel(spec)
+    n_i = blk.ni_block(p.ni)
     if isinstance(blk, ImageBlocking):
-        if blk.promote_input:
-            rbw_mem = rbw_mem_ldm_image_plan_promoted(
-                blk.b_co, blk.b_b, p.no, p.kc, peak_flops=spec.peak_flops_per_cg
-            )
-            block = image_plan_block_bytes(min(p.co, blk.b_co) + p.kc - 1)
-        else:
-            rbw_mem = rbw_mem_ldm_image_plan(
-                blk.b_co, blk.b_b, p.no, peak_flops=spec.peak_flops_per_cg
-            )
-            block = image_plan_block_bytes(min(p.co, blk.b_co))
-    else:
-        if blk.promote_filter:
-            rbw_mem = rbw_mem_ldm_batch_plan_promoted(
-                p.kc, p.no, p.b, blk.b_co, peak_flops=spec.peak_flops_per_cg
-            )
-        else:
-            rbw_mem = rbw_mem_ldm_batch_plan(
-                p.kc, p.no, p.b, peak_flops=spec.peak_flops_per_cg
-            )
-        block = batch_plan_block_bytes(p.b)
-    mbw_mem = blended_mbw(
-        [
-            DMAStream("get", 1.0, block, "get"),
-            DMAStream("put", 0.25, block, "put"),
-        ]
-    )
-    return PerformanceEstimate(
-        plan=candidate.family,
-        peak_flops=spec.peak_flops_per_cg,
-        execution_efficiency=ee,
-        rbw_mem=rbw_mem,
-        mbw_mem=mbw_mem,
-        rbw_reg=rbw_ldm_reg_gemm_simd(
-            rb.rb_b, rb.rb_no, peak_flops=spec.peak_flops_per_cpe
-        ),
-        mbw_reg=spec.ldm_bandwidth,
+        halo = p.kc - 1 if blk.promote_input else 0
+        return model.image_plan(
+            blk.b_co, blk.b_b, p.no, n_i,
+            block_bytes=image_plan_block_bytes(min(p.co, blk.b_co) + halo),
+            rb_b=rb.rb_b,
+            rb_no=rb.rb_no,
+            promoted_kc=p.kc if blk.promote_input else None,
+        )
+    return model.batch_plan(
+        p.kc, p.no, p.b, n_i,
+        block_bytes=batch_plan_block_bytes(p.b),
+        rb_b=rb.rb_b,
+        rb_no=rb.rb_no,
+        promoted_b_co=blk.b_co if blk.promote_filter else None,
     )
 
 

@@ -408,9 +408,9 @@ SPECS: Dict[str, Spec] = {
         keys=(
             Key("fast_path_forward", dict),
             Key("fast_path_forward.enabled_overhead_pct", float),
-            Key("table3_drift", dict),
-            Key("table3_drift.flagged", int),
+            *_flag_report("table3_drift"),
         ),
+        invariants=(_flagged_tally("table3_drift"),),
         ledger=(
             # The fast-path bar is 2 percentage *points* of overhead slack —
             # absolute, because the committed baseline can be near (or

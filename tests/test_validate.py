@@ -83,6 +83,7 @@ VALID = {
     "profile": lambda: copy.deepcopy(_PROFILE),
     "metrics": lambda: copy.deepcopy(_METRICS),
     "oracle": lambda: copy.deepcopy(_ORACLE),
+    "telemetry": lambda: _bench("telemetry"),
 }
 
 
@@ -246,6 +247,11 @@ PARITY = [
     ("oracle", _set("rows", 0, "flagged", "no"), "flagged"),
     ("oracle", _set("flagged", 99), "flagged"),
     ("oracle", _drop("rows", 0), "direct baseline"),
+    # telemetry bench record: the drift tally agrees with its rows
+    ("telemetry", _set("table3_drift", "flagged", 3), "table3_drift.flagged"),
+    ("telemetry", _set("table3_drift", "rows", 0, "flagged", False),
+     "table3_drift.flagged"),
+    ("telemetry", _set("table3_drift", "rows", {}), "table3_drift.rows"),
 ]
 
 
